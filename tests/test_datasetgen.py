@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,17 @@ from duinnet.datasetgen import (UNSEEN_CATEGORIES, ConfigError, GenConfig, Manif
 # Minimum pairwise angle of the 32-point Fibonacci lattice, frozen as a
 # regression constant (exhaustive pairwise computation).
 LATTICE_MIN_ANGLE_RAD = 0.5528319435738666
+
+# SHA-256 of every cloud and raster in the two-model fixture's first tree, and
+# of the float32 bytes of one 224-px render of the 9,024-face UV sphere. The
+# digests were taken from the per-face rasterizer and the per-neighbour heap
+# elimination; faster versions of either must not change a single byte.
+SYNTHESIS_SHA256 = json.loads(
+    (Path(__file__).parent / "data" / "synthesis_sha256.json").read_text())
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 # -- viewpoints ---------------------------------------------------------------------
@@ -179,6 +194,20 @@ def test_unreadable_mesh_is_reported_not_fatal(tmp_path):
     assert len(report["mesh_errors"]) == 1
     assert report["mesh_errors"][0]["model_id"] == "bad"
     assert {r.model_id for r in manifest.records} == {"good"}
+
+
+def test_dataset_fixture_bytes_pinned(two_model_dataset):
+    root = two_model_dataset[0]
+    digests = {p.relative_to(root).as_posix(): _sha256(p.read_bytes())
+               for p in sorted(root.rglob("*")) if p.suffix in (".ply", ".raster")}
+    assert digests == SYNTHESIS_SHA256["files"]
+
+
+def test_render_9024_face_sphere_bytes_pinned():
+    mesh = uv_sphere(48, 96).normalized()
+    assert len(mesh.faces) == 9024
+    img = render_depth_image(mesh, make_viewpoints(32)[5], side=224)
+    assert _sha256(img.tobytes()) == SYNTHESIS_SHA256["render"]
 
 
 def test_manifest_json_roundtrip(two_model_dataset):
