@@ -166,11 +166,24 @@ class Manifest:
 # -- rendering -----------------------------------------------------------------
 
 
+_RASTER_CHUNK = 1 << 16  # (face, pixel) candidates rasterized per step
+
+
 def render_depth_image(mesh: TriMesh, vp: Viewpoint, side: int = 224,
                        camera_distance: float = 1.5) -> np.ndarray:
     """Orthographic z-buffer rasterization; intensity is normalized inverse depth.
 
     Returns (side, side, 3) float32 in [0, 1], background 0. Deterministic.
+
+    Every face in front of the camera with a non-degenerate screen-space
+    determinant contributes one (face, pixel) candidate per pixel centre of
+    its clipped bounding box. Candidates are expanded in chunks of about
+    ``_RASTER_CHUNK`` so memory stays flat for any face count, and each chunk
+    writes its covered depths into a flat z-buffer with ``np.minimum.at``.
+    The barycentric arithmetic is the per-face expression evaluated
+    elementwise, and a minimum does not depend on the order of its writes
+    (``z > 0`` keeps +-0 out), so the image is bit-identical to drawing the
+    faces one at a time.
     """
     if len(mesh.faces) == 0:
         raise GeometryError("cannot render an empty mesh")
@@ -181,32 +194,46 @@ def render_depth_image(mesh: TriMesh, vp: Viewpoint, side: int = 224,
     ys = rel @ up
     zs = rel @ forward
     scale = side / 1.8  # normalized models fit in a 0.9-halfwidth viewport
-    px = xs * scale + side / 2.0
-    py = side / 2.0 - ys * scale
-    zbuf = np.full((side, side), np.inf)
-    for f in mesh.faces:
-        if np.all(zs[f] <= 0):  # behind the camera plane
-            continue
-        tx, ty, tz = px[f], py[f], zs[f]
-        x0, x1 = int(max(np.floor(tx.min()), 0)), int(min(np.ceil(tx.max()), side - 1))
-        y0, y1 = int(max(np.floor(ty.min()), 0)), int(min(np.ceil(ty.max()), side - 1))
-        if x1 < x0 or y1 < y0:
-            continue
-        det = (ty[1] - ty[2]) * (tx[0] - tx[2]) + (tx[2] - tx[1]) * (ty[0] - ty[2])
-        if abs(det) < 1e-12:
-            continue
-        gx, gy = np.meshgrid(np.arange(x0, x1 + 1) + 0.5, np.arange(y0, y1 + 1) + 0.5)
-        w0 = ((ty[1] - ty[2]) * (gx - tx[2]) + (tx[2] - tx[1]) * (gy - ty[2])) / det
-        w1 = ((ty[2] - ty[0]) * (gx - tx[2]) + (tx[0] - tx[2]) * (gy - ty[2])) / det
+    tx = (xs * scale + side / 2.0)[mesh.faces]
+    ty = (side / 2.0 - ys * scale)[mesh.faces]
+    tz = zs[mesh.faces]
+    if not (np.isfinite(tx).all() and np.isfinite(ty).all() and np.isfinite(tz).all()):
+        raise GeometryError("cannot render a face with non-finite coordinates")
+    # Clipped pixel bounding boxes; clipping before the int cast keeps far
+    # off-screen faces empty instead of overflowing.
+    x0 = np.clip(np.floor(tx.min(axis=1)), 0, side).astype(np.int64)
+    x1 = np.clip(np.ceil(tx.max(axis=1)), -1, side - 1).astype(np.int64)
+    y0 = np.clip(np.floor(ty.min(axis=1)), 0, side).astype(np.int64)
+    y1 = np.clip(np.ceil(ty.max(axis=1)), -1, side - 1).astype(np.int64)
+    a, b = ty[:, 1] - ty[:, 2], tx[:, 2] - tx[:, 1]
+    c, d = ty[:, 2] - ty[:, 0], tx[:, 0] - tx[:, 2]
+    det = a * d + b * (ty[:, 0] - ty[:, 2])
+    keep = ~np.all(tz <= 0, axis=1) & (x1 >= x0) & (y1 >= y0) & (np.abs(det) >= 1e-12)
+    # terms of the kept faces, one column per face
+    corner = np.stack([x0, y0, x1 - x0 + 1])[:, keep]
+    coef = np.stack([a, b, c, d, det, tx[:, 2], ty[:, 2], tz[:, 0], tz[:, 1], tz[:, 2]])[:, keep]
+    ends = np.cumsum(corner[2] * (y1 - y0 + 1)[keep])
+    zbuf = np.full(side * side, np.inf)
+    start = 0
+    while start < len(ends):
+        base = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, base + _RASTER_CHUNK, side="right")), start + 1)
+        counts = np.diff(ends[start:stop], prepend=base)
+        fx0, fy0, fw = np.repeat(corner[:, start:stop], counts, axis=1)
+        fa, fb, fc, fd, fdet, tx2, ty2, tz0, tz1, tz2 = np.repeat(
+            coef[:, start:stop], counts, axis=1)
+        k = np.arange(ends[stop - 1] - base) - np.repeat(ends[start:stop] - counts - base, counts)
+        row, col = np.divmod(k, fw)
+        px, py = fx0 + col, fy0 + row
+        dx, dy = (px + 0.5) - tx2, (py + 0.5) - ty2
+        w0 = (fa * dx + fb * dy) / fdet
+        w1 = (fc * dx + fd * dy) / fdet
         w2 = 1.0 - w0 - w1
-        inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
-        if not inside.any():
-            continue
-        z = w0 * tz[0] + w1 * tz[1] + w2 * tz[2]
-        inside &= z > 0
-        sub = zbuf[y0 : y1 + 1, x0 : x1 + 1]
-        better = inside & (z < sub)
-        sub[better] = z[better]
+        z = w0 * tz0 + w1 * tz1 + w2 * tz2
+        hit = (w0 >= 0) & (w1 >= 0) & (w2 >= 0) & (z > 0)
+        np.minimum.at(zbuf, py[hit] * side + px[hit], z[hit])
+        start = stop
+    zbuf = zbuf.reshape(side, side)
     covered = np.isfinite(zbuf)
     img = np.zeros((side, side), dtype=np.float32)
     if covered.any():

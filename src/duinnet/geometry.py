@@ -151,7 +151,8 @@ def poisson_disk_sample(mesh: TriMesh, n: int, seed: int = 0, oversample: int = 
     """Exactly n blue-noise points on the mesh surface.
 
     Oversamples uniformly by area, then greedily eliminates the most crowded
-    samples (weight-heap sample elimination) until n survive. The target
+    samples until n survive (Yuksel 2015, "Sample Elimination for Generating
+    Poisson Disk Sample Sets"; see ``_eliminate_samples``). The target
     separation is r = sqrt(area / (2*sqrt(3)*n)), the hex-packing radius.
     """
     if n < 1:
@@ -167,37 +168,56 @@ def poisson_disk_sample(mesh: TriMesh, n: int, seed: int = 0, oversample: int = 
 
 
 def _eliminate_samples(pts: np.ndarray, n: int, r_max: float) -> np.ndarray:
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(r_max, output_type="ndarray")
+    """Indices (ascending) of the n samples that survive weighted elimination.
+
+    Each pair closer than r_max adds (1 - d/r_max)**8 to both weights (Yuksel
+    2015). The sample with the highest current weight is removed next, the
+    lowest index on ties, and its weight is subtracted from its live
+    neighbours. Weights only ever decrease, so a heap entry is never too low:
+    a popped entry that no longer matches its sample's weight is pushed again
+    with the current one, and the first matching pop is the true maximum.
+
+    Neighbours are CSR arrays. The initial weights sum each sample's pairs in
+    ``query_pairs`` order, and a decrement uses the 1-D dot-product norm of
+    the pair difference, so the removal order is bit-for-bit that of a loop
+    doing ``weights[j] -= (1 - np.linalg.norm(pts[i] - pts[j]) / r_max)**8``.
+    """
     m = len(pts)
-    neighbors: list[list[int]] = [[] for _ in range(m)]
-    weights = np.zeros(m)
-    if len(pairs):
-        d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-        w = (1.0 - d / r_max) ** 8
-        for (i, j), wij in zip(pairs, w):
-            neighbors[i].append(j)
-            neighbors[j].append(i)
-            weights[i] += wij
-            weights[j] += wij
+    pairs = cKDTree(pts).query_pairs(r_max, output_type="ndarray")
+    diff = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+    w_init = (1.0 - np.linalg.norm(diff, axis=1) / r_max) ** 8
+    weights = np.bincount(pairs.ravel(), weights=np.repeat(w_init, 2),
+                          minlength=m).astype(np.float64)  # int64 when empty
+    # A decrement must round like the scalar np.linalg.norm (a 1-D dot) and
+    # the scalar libm pow; np.linalg.norm(axis=1) and array np.power can each
+    # differ by an ulp.
+    d_scalar = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).ravel())
+    w_pair = np.array([x ** 8 for x in (1.0 - d_scalar / r_max).tolist()])
+
+    src = pairs.ravel()
+    order = np.argsort(src, kind="stable")
+    nbr = pairs[:, ::-1].ravel()[order]
+    w_edge = np.repeat(w_pair, 2)[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=m))])
+
     alive = np.ones(m, dtype=bool)
-    heap = [(-weights[i], i) for i in range(m)]
+    heap = list(zip((-weights).tolist(), range(m)))
     heapq.heapify(heap)
     remaining = m
     while remaining > n:
         negw, i = heapq.heappop(heap)
         if not alive[i]:
             continue
-        if -negw != weights[i]:  # stale entry
-            heapq.heappush(heap, (-weights[i], i))
+        w = float(weights[i])
+        if -negw != w:  # stale entry
+            heapq.heappush(heap, (-w, i))
             continue
         alive[i] = False
         remaining -= 1
-        for j in neighbors[i]:
-            if alive[j]:
-                d = np.linalg.norm(pts[i] - pts[j])
-                weights[j] -= (1.0 - d / r_max) ** 8
-                heapq.heappush(heap, (-weights[j], j))
+        lo, hi = indptr[i], indptr[i + 1]
+        js = nbr[lo:hi]
+        live = alive[js]
+        weights[js[live]] -= w_edge[lo:hi][live]
     return np.flatnonzero(alive)
 
 
@@ -210,7 +230,8 @@ def hidden_point_removal(cloud: PointCloud, viewpoint, cfg: HPRConfig | None = N
     Points are re-centered on the viewpoint, reflected outward to radius
     R = max norm x 10**radius_exponent, and the hull of the flipped set plus
     the origin is taken; hull membership marks visibility. Coplanar inputs are
-    jittered by 1e-9 and retried, flagged in the result.
+    jittered by 1e-9 and retried, flagged in the result; if the retry also
+    fails (fewer than four distinct points), GeometryError is raised.
     """
     cfg = cfg or HPRConfig()
     pts = cloud.points
@@ -233,7 +254,10 @@ def hidden_point_removal(cloud: PointCloud, viewpoint, cfg: HPRConfig | None = N
     except QhullError:
         rng = np.random.default_rng(0)
         aug = aug + rng.normal(scale=1e-9, size=aug.shape)
-        hull = ConvexHull(aug)
+        try:
+            hull = ConvexHull(aug)
+        except QhullError as exc:
+            raise GeometryError(f"no visibility hull even after jitter: {exc}") from exc
         jittered = True
     visible = np.array(sorted(i for i in hull.vertices if i < len(pts)), dtype=np.int64)
     return HPRResult(visible, jittered)
@@ -297,12 +321,18 @@ def load_off(path) -> TriMesh:
             tokens.insert(0, head[3:])  # 'OFF123 ...' variant
         else:
             raise GeometryError(f"{path}: missing OFF header")
+    if len(tokens) < 3:
+        raise GeometryError(f"{path}: truncated OFF counts line")
     nv, nf = int(tokens[0]), int(tokens[1])
     pos = 3  # skip edge count
+    if len(tokens) < pos + 3 * nv:
+        raise GeometryError(f"{path}: declares {nv} vertices but the file ends early")
     verts = np.array(tokens[pos : pos + 3 * nv], dtype=np.float64).reshape(nv, 3)
     pos += 3 * nv
     faces: list[tuple[int, int, int]] = []
-    for _ in range(nf):
+    for k in range(nf):
+        if pos >= len(tokens) or pos + 1 + int(tokens[pos]) > len(tokens):
+            raise GeometryError(f"{path}: declares {nf} faces but face {k} is truncated")
         cnt = int(tokens[pos])
         idx = [int(t) for t in tokens[pos + 1 : pos + 1 + cnt]]
         pos += 1 + cnt

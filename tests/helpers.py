@@ -7,7 +7,10 @@ accelerated implementations they validate.
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
+from scipy.spatial import cKDTree
 
 from duinnet.datasetgen import UNSEEN_CATEGORIES, Manifest, SampleRecord
 from duinnet.geometry import TriMesh
@@ -77,6 +80,92 @@ def knn_sort_oracle(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarr
         order = sorted(range(len(points)), key=lambda i: (d[i], i))
         out.append(order[:k])
     return np.array(out, dtype=np.int64)
+
+
+# -- synthesis oracles ---------------------------------------------------------
+
+
+def eliminate_samples_oracle(pts: np.ndarray, n: int, r_max: float) -> np.ndarray:
+    """Weighted sample elimination with per-neighbour lists and one heap push
+    per weight update (the original ``geometry._eliminate_samples``)."""
+    tree = cKDTree(pts)
+    pairs = tree.query_pairs(r_max, output_type="ndarray")
+    m = len(pts)
+    neighbors: list[list[int]] = [[] for _ in range(m)]
+    weights = np.zeros(m)
+    if len(pairs):
+        d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+        w = (1.0 - d / r_max) ** 8
+        for (i, j), wij in zip(pairs, w):
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+            weights[i] += wij
+            weights[j] += wij
+    alive = np.ones(m, dtype=bool)
+    heap = [(-weights[i], i) for i in range(m)]
+    heapq.heapify(heap)
+    remaining = m
+    while remaining > n:
+        negw, i = heapq.heappop(heap)
+        if not alive[i]:
+            continue
+        if -negw != weights[i]:  # stale entry
+            heapq.heappush(heap, (-weights[i], i))
+            continue
+        alive[i] = False
+        remaining -= 1
+        for j in neighbors[i]:
+            if alive[j]:
+                d = np.linalg.norm(pts[i] - pts[j])
+                weights[j] -= (1.0 - d / r_max) ** 8
+                heapq.heappush(heap, (-weights[j], j))
+    return np.flatnonzero(alive)
+
+
+def render_depth_oracle(mesh: TriMesh, vp, side: int = 224,
+                        camera_distance: float = 1.5) -> np.ndarray:
+    """Per-face loop z-buffer (the original ``datasetgen.render_depth_image``)."""
+    right, up, forward = vp.basis()
+    cam = vp.position * camera_distance
+    rel = mesh.vertices - cam
+    xs = rel @ right
+    ys = rel @ up
+    zs = rel @ forward
+    scale = side / 1.8
+    px = xs * scale + side / 2.0
+    py = side / 2.0 - ys * scale
+    zbuf = np.full((side, side), np.inf)
+    for f in mesh.faces:
+        if np.all(zs[f] <= 0):
+            continue
+        tx, ty, tz = px[f], py[f], zs[f]
+        x0, x1 = int(max(np.floor(tx.min()), 0)), int(min(np.ceil(tx.max()), side - 1))
+        y0, y1 = int(max(np.floor(ty.min()), 0)), int(min(np.ceil(ty.max()), side - 1))
+        if x1 < x0 or y1 < y0:
+            continue
+        det = (ty[1] - ty[2]) * (tx[0] - tx[2]) + (tx[2] - tx[1]) * (ty[0] - ty[2])
+        if abs(det) < 1e-12:
+            continue
+        gx, gy = np.meshgrid(np.arange(x0, x1 + 1) + 0.5, np.arange(y0, y1 + 1) + 0.5)
+        w0 = ((ty[1] - ty[2]) * (gx - tx[2]) + (tx[2] - tx[1]) * (gy - ty[2])) / det
+        w1 = ((ty[2] - ty[0]) * (gx - tx[2]) + (tx[0] - tx[2]) * (gy - ty[2])) / det
+        w2 = 1.0 - w0 - w1
+        inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
+        if not inside.any():
+            continue
+        z = w0 * tz[0] + w1 * tz[1] + w2 * tz[2]
+        inside &= z > 0
+        sub = zbuf[y0 : y1 + 1, x0 : x1 + 1]
+        better = inside & (z < sub)
+        sub[better] = z[better]
+    covered = np.isfinite(zbuf)
+    img = np.zeros((side, side), dtype=np.float32)
+    if covered.any():
+        z = zbuf[covered]
+        zmin, zmax = z.min(), z.max()
+        span = max(zmax - zmin, 1e-9)
+        img[covered] = (0.25 + 0.75 * (zmax - z) / span).astype(np.float32)
+    return np.repeat(img[:, :, None], 3, axis=2)
 
 
 # -- mesh builders --------------------------------------------------------------

@@ -8,9 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.spatial import ConvexHull
 
-from helpers import (MODELNET40, box_mesh, square_mesh, synthetic_manifest,
-                     uv_sphere)
+from helpers import (MODELNET40, box_mesh, render_depth_oracle, save_off, square_mesh,
+                     synthetic_manifest, uv_sphere)
 
 from duinnet import datasetgen, geometry
 from duinnet.datasetgen import (UNSEEN_CATEGORIES, ConfigError, GenConfig, Manifest,
@@ -118,6 +122,73 @@ def test_render_empty_mesh_error():
         render_depth_image(mesh, Viewpoint(0, np.array([0.0, 0.0, 1.0])))
 
 
+def _assert_render_matches_oracle(mesh, vp, side, camera_distance=1.5):
+    got = render_depth_image(mesh, vp, side=side, camera_distance=camera_distance)
+    want = render_depth_oracle(mesh, vp, side=side, camera_distance=camera_distance)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("side", [1, 2, 17, 64])
+@pytest.mark.parametrize("mesh", [box_mesh(), uv_sphere(8, 16), square_mesh()],
+                         ids=["box", "sphere", "square"])
+def test_render_matches_per_face_oracle(mesh, side):
+    mesh = mesh.normalized()
+    for vp in make_viewpoints(6):
+        _assert_render_matches_oracle(mesh, vp, side)
+
+
+def test_render_oracle_edge_cases():
+    """Faces behind the camera, far off screen, with |det| < 1e-12, and a
+    diagonal shared edge that runs through pixel centres, in one mesh."""
+    quad = square_mesh().normalized()
+    v = np.vstack([
+        quad.vertices,                                   # 0-3: shared diagonal 0-2
+        quad.vertices + [0.0, 0.0, 5.0],                 # 4-7: behind a +z camera
+        quad.vertices + [1e6, 0.0, 0.0],                 # 8-11: far right
+        quad.vertices - [0.0, 1e6, 0.0],                 # 12-15: far below
+        [[0.1, 0.1, 0.0], [0.2, 0.2, 0.0], [0.3, 0.3, 0.0]],  # 16-18: collinear
+    ])
+    f = np.array([[0, 1, 2], [0, 2, 3], [4, 5, 6], [8, 9, 10], [12, 13, 14],
+                  [16, 17, 18], [0, 0, 1]])
+    mesh = geometry.TriMesh(v, f)
+    for side in (1, 2, 9, 18, 36):
+        _assert_render_matches_oracle(mesh, Viewpoint(0, np.array([0.0, 0.0, 1.0])), side)
+        _assert_render_matches_oracle(mesh, make_viewpoints(8)[3], side)
+
+
+def test_render_shared_edge_pixels_are_covered_once():
+    # the anti-diagonal pixel centres lie exactly on the shared edge
+    mesh = square_mesh().normalized()
+    img = render_depth_image(mesh, Viewpoint(0, np.array([0.0, 0.0, 1.0])), side=18)
+    lit = img[:, :, 0] > 0
+    assert all(lit[j, 17 - j] for j in range(4, 14))
+    _assert_render_matches_oracle(mesh, Viewpoint(0, np.array([0.0, 0.0, 1.0])), 18)
+
+
+_unit = st.floats(-1, 1).filter(lambda x: abs(x) > 1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays(np.float64, (6, 3), elements=st.one_of(
+           st.floats(-1.2, 1.2), st.integers(-4, 4).map(lambda k: k / 4.0))),
+       arrays(np.int64, st.tuples(st.integers(1, 8), st.just(3)),
+              elements=st.integers(0, 5)),
+       st.tuples(_unit, _unit, _unit),
+       st.sampled_from([1, 2, 5, 16]),
+       st.floats(0.3, 3.0))
+def test_render_oracle_property(verts, faces, direction, side, camera_distance):
+    pos = np.array(direction) / np.linalg.norm(direction)
+    mesh = geometry.TriMesh(verts, faces)
+    _assert_render_matches_oracle(mesh, Viewpoint(0, pos), side, camera_distance)
+
+
+def test_render_non_finite_vertex_is_geometry_error():
+    mesh = square_mesh()
+    mesh.vertices[0, 0] = np.nan
+    with pytest.raises(geometry.GeometryError):
+        render_depth_image(mesh, Viewpoint(0, np.array([0.0, 0.0, 1.0])))
+
+
 def test_raster_roundtrip(tmp_path):
     img = np.random.default_rng(0).random((16, 16, 3)).astype(np.float32)
     path = tmp_path / "img.raster"
@@ -181,33 +252,53 @@ def test_dataset_fixture_partials_subset_of_complete(two_model_dataset):
         assert all(tuple(p) in pool for p in partial.points)
 
 
-def test_unreadable_mesh_is_reported_not_fatal(tmp_path):
+def _generate_good_and_bad(tmp_path, write_bad):
+    """Generate a box as model "good" and whatever ``write_bad`` writes as "bad"."""
     mesh_dir = tmp_path / "meshes"
     mesh_dir.mkdir()
-    from helpers import save_off
     save_off(mesh_dir / "good.off", box_mesh())
-    (mesh_dir / "bad.off").write_text("not a mesh\n")
+    write_bad(mesh_dir / "bad.off")
     cfg = GenConfig(n_points=64, n_viewpoints=2, image_side=32)
-    manifest, report = datasetgen.generate_dataset(
+    return datasetgen.generate_dataset(
         {("chair", "good"): mesh_dir / "good.off",
          ("chair", "bad"): mesh_dir / "bad.off"}, cfg, tmp_path / "out")
-    assert len(report["mesh_errors"]) == 1
-    assert report["mesh_errors"][0]["model_id"] == "bad"
+
+
+def _assert_only_bad_failed(tmp_path, manifest, report):
+    assert [e["model_id"] for e in report["mesh_errors"]] == ["bad"]
     assert {r.model_id for r in manifest.records} == {"good"}
+    assert (tmp_path / "out" / "chair" / "good" / "complete.ply").exists()
 
 
-def test_dataset_fixture_bytes_pinned(two_model_dataset):
-    root = two_model_dataset[0]
-    digests = {p.relative_to(root).as_posix(): _sha256(p.read_bytes())
-               for p in sorted(root.rglob("*")) if p.suffix in (".ply", ".raster")}
-    assert digests == SYNTHESIS_SHA256["files"]
+def test_unreadable_mesh_is_reported_not_fatal(tmp_path):
+    manifest, report = _generate_good_and_bad(
+        tmp_path, lambda p: p.write_text("not a mesh\n"))
+    _assert_only_bad_failed(tmp_path, manifest, report)
 
 
-def test_render_9024_face_sphere_bytes_pinned():
-    mesh = uv_sphere(48, 96).normalized()
-    assert len(mesh.faces) == 9024
-    img = render_depth_image(mesh, make_viewpoints(32)[5], side=224)
-    assert _sha256(img.tobytes()) == SYNTHESIS_SHA256["render"]
+def test_truncated_off_is_reported_not_fatal(tmp_path):
+    # declares two faces and has none: the parser once raised IndexError here
+    manifest, report = _generate_good_and_bad(
+        tmp_path, lambda p: p.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"))
+    _assert_only_bad_failed(tmp_path, manifest, report)
+    assert "truncated" in report["mesh_errors"][0]["error"]
+
+
+def test_failed_hull_is_reported_not_fatal(tmp_path, monkeypatch):
+    # "bad" sorts first, so the first two hulls (first try and jittered retry)
+    # are its own; the good mesh then gets the real ConvexHull.
+    calls = []
+
+    def hull_failing_twice(points):
+        calls.append(len(points))
+        if len(calls) <= 2:
+            raise geometry.QhullError("QH6154 initial simplex is flat")
+        return ConvexHull(points)
+
+    monkeypatch.setattr(geometry, "ConvexHull", hull_failing_twice)
+    manifest, report = _generate_good_and_bad(tmp_path, lambda p: save_off(p, box_mesh()))
+    _assert_only_bad_failed(tmp_path, manifest, report)
+    assert "jitter" in report["mesh_errors"][0]["error"]
 
 
 def test_manifest_json_roundtrip(two_model_dataset):

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
-from helpers import (box_mesh, fps_replay_oracle, knn_sort_oracle, save_off,
-                     square_mesh, uv_sphere)
+from helpers import (box_mesh, eliminate_samples_oracle, fps_replay_oracle,
+                     knn_sort_oracle, save_off, square_mesh, uv_sphere)
 
 from duinnet.geometry import (GeometryError, HPRConfig, PointCloud, TriMesh,
+                              _eliminate_samples,
                               add_gaussian_noise, fps, hidden_point_removal, knn,
                               load_cloud_ply, load_off, load_ply, normalize_points,
                               poisson_disk_sample, resample_to, sample_on_mesh,
@@ -156,6 +160,54 @@ def test_pds_points_lie_on_triangles():
         assert best < 1e-6
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3])
+@pytest.mark.parametrize("mesh", [box_mesh(), uv_sphere(12, 24)], ids=["box", "sphere"])
+def test_eliminate_samples_matches_heap_oracle(mesh, seed):
+    n = 256
+    pts, _, _ = sample_on_mesh(mesh, 10 * n, np.random.default_rng(seed))
+    r_max = 2.0 * np.sqrt(mesh.face_areas().sum() / (2 * np.sqrt(3.0) * n))
+    np.testing.assert_array_equal(_eliminate_samples(pts, n, r_max),
+                                  eliminate_samples_oracle(pts, n, r_max))
+
+
+def test_eliminate_samples_without_pairs_keeps_highest_indices():
+    pts = np.arange(30, dtype=np.float64)[:, None] * np.array([1.0, 0.0, 0.0])
+    # all weights are zero, so ties drop the lowest indices first
+    keep = _eliminate_samples(pts, 12, 0.5)
+    np.testing.assert_array_equal(keep, np.arange(18, 30))
+    np.testing.assert_array_equal(keep, eliminate_samples_oracle(pts, 12, 0.5))
+
+
+def test_eliminate_samples_single_removal():
+    pts = np.random.default_rng(2).random((50, 3))
+    keep = _eliminate_samples(pts, 49, 0.3)
+    assert len(keep) == 49
+    np.testing.assert_array_equal(keep, eliminate_samples_oracle(pts, 49, 0.3))
+
+
+@pytest.mark.parametrize("n", [1, 7, 20, 35])
+def test_eliminate_samples_exact_weight_ties(n):
+    # a unit lattice: interior, edge and corner points share exactly equal weights
+    g = np.arange(6, dtype=np.float64)
+    pts = np.stack(np.meshgrid(g, g, [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
+    np.testing.assert_array_equal(_eliminate_samples(pts, n, 1.5),
+                                  eliminate_samples_oracle(pts, n, 1.5))
+
+
+_lattice = st.integers(-3, 3).map(lambda k: k / 4.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40).flatmap(lambda m: st.tuples(
+           arrays(np.float64, (m, 3), elements=st.one_of(_lattice, st.floats(-1, 1))),
+           st.integers(1, m))),
+       st.floats(0.05, 2.0))
+def test_eliminate_samples_oracle_property(cloud, r_max):
+    pts, n = cloud
+    np.testing.assert_array_equal(_eliminate_samples(pts, n, r_max),
+                                  eliminate_samples_oracle(pts, n, r_max))
+
+
 def test_pds_degenerate_mesh_error():
     flat = TriMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
     with pytest.raises(GeometryError):
@@ -212,6 +264,13 @@ def test_hpr_viewpoint_inside_bounding_sphere():
     pts = _sphere_points(50, radius=1.0)
     with pytest.raises(GeometryError):
         hidden_point_removal(PointCloud(pts), (0, 0, 0.5))
+
+
+def test_hpr_failed_jitter_retry_raises_geometry_error():
+    # two points give a three-point hull input, which no jitter can fix
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(GeometryError):
+        hidden_point_removal(PointCloud(pts), (0, 0, 3))
 
 
 def test_hpr_collinear_input_jitters_and_reports():
@@ -310,6 +369,19 @@ def test_off_quad_fan_triangulation(tmp_path):
 def test_off_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.off"
     path.write_text("3 0 0\n0 0 0\n1 0 0\n0 1 0\n")
+    with pytest.raises(GeometryError):
+        load_off(path)
+
+
+@pytest.mark.parametrize("text", [
+    "OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n",    # a face row missing
+    "OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1\n",      # a face row cut short
+    "OFF\n4 1 0\n0 0 0\n1 0 0\n",                              # vertex rows missing
+    "OFF\n4\n",                                                   # counts line cut short
+], ids=["missing-face", "short-face", "missing-vertices", "short-counts"])
+def test_off_truncated_raises_geometry_error(tmp_path, text):
+    path = tmp_path / "truncated.off"
+    path.write_text(text)
     with pytest.raises(GeometryError):
         load_off(path)
 
