@@ -175,9 +175,9 @@ def render_depth_image(mesh: TriMesh, vp: Viewpoint, side: int = 224,
 
     Returns (side, side, 3) float32 in [0, 1], background 0. Deterministic.
 
-    Every face in front of the camera with a non-degenerate screen-space
-    determinant contributes one (face, pixel) candidate per pixel centre of
-    its clipped bounding box. Candidates are expanded in chunks of about
+    Every face that is not wholly behind the camera and has a non-degenerate
+    screen-space determinant contributes one (face, pixel) candidate per pixel
+    centre of its clipped bounding box. Candidates are expanded in chunks of about
     ``_RASTER_CHUNK`` so memory stays flat for any face count, and each chunk
     writes its covered depths into a flat z-buffer with ``np.minimum.at``.
     The barycentric arithmetic is the per-face expression evaluated

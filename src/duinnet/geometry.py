@@ -178,9 +178,10 @@ def _eliminate_samples(pts: np.ndarray, n: int, r_max: float) -> np.ndarray:
     with the current one, and the first matching pop is the true maximum.
 
     Neighbours are CSR arrays. The initial weights sum each sample's pairs in
-    ``query_pairs`` order, and a decrement uses the 1-D dot-product norm of
-    the pair difference, so the removal order is bit-for-bit that of a loop
-    doing ``weights[j] -= (1 - np.linalg.norm(pts[i] - pts[j]) / r_max)**8``.
+    ``query_pairs`` order, and each decrement rounds exactly as the scalar
+    ``(1 - np.linalg.norm(pts[i] - pts[j]) / r_max) ** 8``, so the removal
+    order is bit-for-bit that of the per-neighbour loop the tests keep as an
+    oracle.
     """
     m = len(pts)
     pairs = cKDTree(pts).query_pairs(r_max, output_type="ndarray")
@@ -230,8 +231,8 @@ def hidden_point_removal(cloud: PointCloud, viewpoint, cfg: HPRConfig | None = N
     Points are re-centered on the viewpoint, reflected outward to radius
     R = max norm x 10**radius_exponent, and the hull of the flipped set plus
     the origin is taken; hull membership marks visibility. Coplanar inputs are
-    jittered by 1e-9 and retried, flagged in the result; if the retry also
-    fails (fewer than four distinct points), GeometryError is raised.
+    jittered by 1e-9 and retried, flagged in the result; if the retry fails
+    too (as it must for two points), GeometryError is raised.
     """
     cfg = cfg or HPRConfig()
     pts = cloud.points

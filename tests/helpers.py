@@ -86,8 +86,8 @@ def knn_sort_oracle(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarr
 
 
 def eliminate_samples_oracle(pts: np.ndarray, n: int, r_max: float) -> np.ndarray:
-    """Weighted sample elimination with per-neighbour lists and one heap push
-    per weight update (the original ``geometry._eliminate_samples``)."""
+    """Weighted sample elimination as a per-neighbour loop with one heap push
+    per weight update: the reference for ``geometry._eliminate_samples``."""
     tree = cKDTree(pts)
     pairs = tree.query_pairs(r_max, output_type="ndarray")
     m = len(pts)
@@ -124,7 +124,7 @@ def eliminate_samples_oracle(pts: np.ndarray, n: int, r_max: float) -> np.ndarra
 
 def render_depth_oracle(mesh: TriMesh, vp, side: int = 224,
                         camera_distance: float = 1.5) -> np.ndarray:
-    """Per-face loop z-buffer (the original ``datasetgen.render_depth_image``)."""
+    """Per-face loop z-buffer: the reference for ``datasetgen.render_depth_image``."""
     right, up, forward = vp.basis()
     cam = vp.position * camera_distance
     rel = mesh.vertices - cam

@@ -27,9 +27,9 @@ from duinnet.datasetgen import (UNSEEN_CATEGORIES, ConfigError, GenConfig, Manif
 LATTICE_MIN_ANGLE_RAD = 0.5528319435738666
 
 # SHA-256 of every cloud and raster in the two-model fixture's first tree, and
-# of the float32 bytes of one 224-px render of the 9,024-face UV sphere. The
-# digests were taken from the per-face rasterizer and the per-neighbour heap
-# elimination; faster versions of either must not change a single byte.
+# of the float32 bytes of one 224-px render of the 9,024-face UV sphere, as the
+# loop oracles in helpers.py produce them. Generated datasets are byte-identical
+# across versions, so any change to these digests is a defect.
 SYNTHESIS_SHA256 = json.loads(
     (Path(__file__).parent / "data" / "synthesis_sha256.json").read_text())
 
@@ -277,7 +277,7 @@ def test_unreadable_mesh_is_reported_not_fatal(tmp_path):
 
 
 def test_truncated_off_is_reported_not_fatal(tmp_path):
-    # declares two faces and has none: the parser once raised IndexError here
+    # declares two faces and has none
     manifest, report = _generate_good_and_bad(
         tmp_path, lambda p: p.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"))
     _assert_only_bad_failed(tmp_path, manifest, report)

@@ -374,10 +374,10 @@ def test_off_rejects_missing_header(tmp_path):
 
 
 @pytest.mark.parametrize("text", [
-    "OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n",    # a face row missing
-    "OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1\n",      # a face row cut short
-    "OFF\n4 1 0\n0 0 0\n1 0 0\n",                              # vertex rows missing
-    "OFF\n4\n",                                                   # counts line cut short
+    "OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n",
+    "OFF\n4 1 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1\n",
+    "OFF\n4 1 0\n0 0 0\n1 0 0\n",
+    "OFF\n4\n",
 ], ids=["missing-face", "short-face", "missing-vertices", "short-counts"])
 def test_off_truncated_raises_geometry_error(tmp_path, text):
     path = tmp_path / "truncated.off"
