@@ -156,7 +156,7 @@ def test_render_oracle_edge_cases():
         _assert_render_matches_oracle(mesh, make_viewpoints(8)[3], side)
 
 
-def test_render_shared_edge_pixels_are_covered_once():
+def test_render_shared_edge_pixel_centres_are_drawn():
     # the anti-diagonal pixel centres lie exactly on the shared edge
     mesh = square_mesh().normalized()
     img = render_depth_image(mesh, Viewpoint(0, np.array([0.0, 0.0, 1.0])), side=18)
