@@ -294,15 +294,6 @@ def resample_to(cloud: PointCloud, n: int, seed: int = 0,
     return cloud.with_points(np.vstack([pts, pts[extra]]))
 
 
-def normalize_points(points: np.ndarray) -> np.ndarray:
-    """Center at the centroid and scale the longest bbox axis to 1."""
-    pts = points - points.mean(axis=0)
-    scale = (pts.max(axis=0) - pts.min(axis=0)).max()
-    if scale <= 0:
-        raise GeometryError("degenerate point set")
-    return pts / scale
-
-
 # -- file formats -------------------------------------------------------------------
 
 
@@ -349,22 +340,30 @@ def load_ply(path) -> TriMesh:
         lines = [ln.strip() for ln in f]
     if not lines or lines[0] != "ply":
         raise GeometryError(f"{path}: not a PLY file")
-    nv = nf = 0
+    counts = {"vertex": 0, "face": 0}
     i = 1
     while i < len(lines) and lines[i] != "end_header":
         parts = lines[i].split()
-        if parts[:2] == ["element", "vertex"]:
-            nv = int(parts[2])
-        elif parts[:2] == ["element", "face"]:
-            nf = int(parts[2])
-        elif parts[0] == "format" and parts[1] != "ascii":
+        if not parts:
+            raise GeometryError(f"{path}: blank header line {i + 1}")
+        if parts[0] == "element" and parts[1:2] in (["vertex"], ["face"]):
+            if len(parts) < 3:
+                raise GeometryError(f"{path}: header line {i + 1} has no element count")
+            counts[parts[1]] = int(parts[2])
+        elif parts[0] == "format" and parts[1:2] != ["ascii"]:
             raise GeometryError(f"{path}: only ascii PLY supported")
         i += 1
+    nv, nf = counts["vertex"], counts["face"]
     body = [ln.split() for ln in lines[i + 1 :] if ln]
+    if len(body) < nv + nf:
+        raise GeometryError(f"{path}: declares {nv} vertices and {nf} faces "
+                            f"but has {len(body)} rows")
     verts = np.array([row[:3] for row in body[:nv]], dtype=np.float64)
     faces: list[tuple[int, int, int]] = []
-    for row in body[nv : nv + nf]:
+    for k, row in enumerate(body[nv : nv + nf]):
         cnt = int(row[0])
+        if len(row) < 1 + cnt:
+            raise GeometryError(f"{path}: face {k} lists fewer than its {cnt} indices")
         idx = [int(t) for t in row[1 : 1 + cnt]]
         for j in range(1, cnt - 1):
             faces.append((idx[0], idx[j], idx[j + 1]))

@@ -19,6 +19,8 @@ class CrossAttentionBlock(Module):
     """
 
     def __init__(self, C: int, heads: int, rng: np.random.Generator, ffn_mult: int = 2):
+        if C % heads:
+            raise T.DimensionError(f"attention width C={C} not divisible by heads={heads}")
         self.C = C
         self.heads = heads
         self.q_proj = Linear(C, C, rng)
@@ -29,7 +31,7 @@ class CrossAttentionBlock(Module):
         self.norm2 = LayerNorm(C)
         self.ffn1 = Linear(C, ffn_mult * C, rng)
         self.ffn2 = Linear(ffn_mult * C, C, rng)
-        self.last_attn: list[np.ndarray] = []  # per-head (M, L) weights, diagnostics only
+        self.last_attn: np.ndarray | None = None  # (H, M, L) weights, diagnostics only
 
     def __call__(self, q_src: Tensor, kv_src: Tensor) -> Tensor:
         if q_src.shape[-1] != self.C or kv_src.shape[-1] != self.C:
@@ -39,20 +41,15 @@ class CrossAttentionBlock(Module):
         q = self.q_proj(q_src)
         k = self.k_proj(kv_src)
         v = self.v_proj(kv_src)
-        dh = self.C // self.heads
-        scale = 1.0 / np.sqrt(dh)
-        head_outs = []
-        self.last_attn = []
-        for h in range(self.heads):
-            cols = np.arange(h * dh, (h + 1) * dh)
-            qh = T.gather(q, cols, axis=1)
-            kh = T.gather(k, cols, axis=1)
-            vh = T.gather(v, cols, axis=1)
-            scores = T.mul(T.matmul(qh, T.transpose(kh)), T.tensor(scale, dtype=q.dtype))
-            w = T.softmax(scores, axis=-1)
-            self.last_attn.append(w.data.copy())
-            head_outs.append(T.matmul(w, vh))
-        attn = self.out_proj(T.concat(head_outs, axis=1))
+        M, L, H, dh = q.shape[0], k.shape[0], self.heads, self.C // self.heads
+        qh = T.transpose(T.reshape(q, (M, H, dh)), (1, 0, 2))  # (H, M, dh)
+        kh = T.transpose(T.reshape(k, (L, H, dh)), (1, 2, 0))  # (H, dh, L)
+        vh = T.transpose(T.reshape(v, (L, H, dh)), (1, 0, 2))  # (H, L, dh)
+        scores = T.mul(T.matmul(qh, kh), T.tensor(1.0 / np.sqrt(dh), dtype=q.dtype))
+        w = T.softmax(scores, axis=-1)
+        self.last_attn = w.data
+        heads_out = T.transpose(T.matmul(w, vh), (1, 0, 2))  # (M, H, dh)
+        attn = self.out_proj(T.reshape(heads_out, (M, self.C)))
         x = self.norm1(T.add(q, attn))
         ff = self.ffn2(T.relu(self.ffn1(x)))
         return self.norm2(T.add(x, ff))

@@ -87,18 +87,14 @@ def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
 
 
 class Linear(Module):
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
+    """Affine map of the rows of an (n, in_dim) tensor."""
+
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.weight = Tensor(_uniform_init(rng, (in_dim, out_dim), in_dim), requires_grad=True)
-        self.bias = Tensor(_uniform_init(rng, (out_dim,), in_dim), requires_grad=True) if bias else None
+        self.bias = Tensor(_uniform_init(rng, (out_dim,), in_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        flat = x if x.ndim == 2 else T.reshape(x, (-1, x.shape[-1]))
-        out = T.matmul(flat, self.weight)
-        if self.bias is not None:
-            out = T.add(out, self.bias)
-        if x.ndim != 2:
-            out = T.reshape(out, x.shape[:-1] + (self.weight.shape[1],))
-        return out
+        return T.add(T.matmul(x, self.weight), self.bias)
 
 
 class LayerNorm(Module):

@@ -13,6 +13,7 @@ Two precisions are supported: float32 (training default) and float64
 
 from __future__ import annotations
 
+import os
 import struct
 from typing import Sequence
 
@@ -69,26 +70,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
-    def astype(self, dtype) -> "Tensor":
-        t = Tensor(self.data.astype(dtype), requires_grad=self.requires_grad)
-        return t
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -109,36 +90,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
         return tape
-
-    # -- operator sugar --------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self.dtype))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class GradTape:
@@ -175,22 +126,14 @@ class GradTape:
         return len(self.entries)
 
 
-def _as_tensor(x, dtype=None) -> Tensor:
+def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=dtype if dtype is not None else _DEFAULT_DTYPE))
+    return Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
 
 
 def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
-def zeros(shape, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype or _DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype or _DEFAULT_DTYPE), requires_grad=requires_grad)
 
 
 def _make(out_data: np.ndarray, op: str, parents: Sequence[Tensor], backward) -> Tensor:
@@ -255,25 +198,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, "mul", (a, b), bw)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
-    def bw(g):
-        if a.requires_grad or a._parents:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad or b._parents:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(a.data / b.data, "div", (a, b), bw)
-
-
-def neg(a: Tensor) -> Tensor:
-    def bw(g):
-        a._accumulate(-g)
-
-    return _make(-a.data, "neg", (a,), bw)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
 
@@ -281,15 +205,6 @@ def relu(a: Tensor) -> Tensor:
         a._accumulate(g * mask)
 
     return _make(np.where(mask, a.data, 0), "relu", (a,), bw)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-
-    def bw(g):
-        a._accumulate(g * 0.5 / out_data)
-
-    return _make(out_data, "sqrt", (a,), bw)
 
 
 def sqrt_safe(a: Tensor, eps: float = 1e-12) -> Tensor:
@@ -303,29 +218,22 @@ def sqrt_safe(a: Tensor, eps: float = 1e-12) -> Tensor:
     return _make(out_data, "sqrt_safe", (a,), bw)
 
 
-def clamp_min(a: Tensor, lo: float) -> Tensor:
-    """Elementwise max(a, lo) against a constant; gradient passes where a > lo."""
-    mask = a.data > lo
-
-    def bw(g):
-        a._accumulate(g * mask)
-
-    return _make(np.maximum(a.data, lo), "clamp_min", (a,), bw)
-
-
 # -- linear algebra / structure -------------------------------------------------
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``(..., m, k) x (..., k, n)``: both operands have the same leading (batch)
+    axes, which do not broadcast, and each batch slice is one 2-D product."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
     def bw(g):
         if a.requires_grad or a._parents:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad or b._parents:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(a.data @ b.data, "matmul", (a, b), bw)
 
@@ -597,19 +505,26 @@ def save_checkpoint(path, params: dict[str, Tensor]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a parameter archive back as name -> float32 array."""
+    """Read a parameter archive back as name -> float32 array; a bad magic or a
+    truncated file raises ValueError naming ``path``."""
+    size = os.path.getsize(path)
     with open(path, "rb") as f:
+        def read(n: int) -> bytes:
+            if f.tell() + n > size:
+                raise ValueError(f"{path}: truncated checkpoint ({size} bytes)")
+            return f.read(n)
+
         magic = f.read(len(_CKPT_MAGIC))
         if magic != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a parameter checkpoint (bad magic)")
-        (count,) = struct.unpack("<I", f.read(4))
+        (count,) = struct.unpack("<I", read(4))
         out: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = tuple(struct.unpack("<I", f.read(4))[0] for _ in range(ndim))
+            (nlen,) = struct.unpack("<H", read(2))
+            name = read(nlen).decode("utf-8")
+            (ndim,) = struct.unpack("<B", read(1))
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
             n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(f.read(4 * n), dtype="<f4").reshape(shape)
+            data = np.frombuffer(read(4 * n), dtype="<f4").reshape(shape)
             out[name] = data.astype(np.float32)
     return out

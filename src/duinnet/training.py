@@ -34,10 +34,13 @@ class TrainState:
         out = self.model(partial, image)
         loss = self.model.loss(out, gt, mode=mode)
         loss.backward()
+        value = float(loss.data)
+        if not np.isfinite(value):  # before the update, so no state changes
+            raise FloatingPointError(f"non-finite loss at step {self.step}")
         self.opt.lr = self._current_lr()
         self.opt.step()
         self.step += 1
-        return float(loss.data)
+        return value
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -67,8 +70,8 @@ def train_loop(state: TrainState, samples, steps: int, mode: str = "standard",
                log_every: int = 25, verbose: bool = False) -> list[tuple[int, float]]:
     """Cycle through ``samples`` (list of (partial, image, gt)) in order.
 
-    Appends (step, loss) rows to the curve file as it goes; raises
-    FloatingPointError on a non-finite loss.
+    Appends (step, loss) rows to the curve file as it goes; a non-finite
+    loss raises FloatingPointError from ``TrainState.train_step``.
     """
     curve: list[tuple[int, float]] = []
     f = open(curve_path, "a") if curve_path else None
@@ -77,8 +80,6 @@ def train_loop(state: TrainState, samples, steps: int, mode: str = "standard",
             step = state.step
             partial, image, gt = samples[step % len(samples)]
             loss = state.train_step(partial, image, gt, mode=mode)
-            if not np.isfinite(loss):
-                raise FloatingPointError(f"non-finite loss at step {step}")
             curve.append((step, loss))
             if f:
                 f.write(f"{step}\t{loss:.8g}\n")

@@ -12,6 +12,7 @@ import heapq
 import numpy as np
 from scipy.spatial import cKDTree
 
+from duinnet import tensor as T
 from duinnet.datasetgen import UNSEEN_CATEGORIES, Manifest, SampleRecord
 from duinnet.geometry import TriMesh
 
@@ -166,6 +167,37 @@ def render_depth_oracle(mesh: TriMesh, vp, side: int = 224,
         span = max(zmax - zmin, 1e-9)
         img[covered] = (0.25 + 0.75 * (zmax - z) / span).astype(np.float32)
     return np.repeat(img[:, :, None], 3, axis=2)
+
+
+# -- model oracles ---------------------------------------------------------------
+
+
+def attention_per_head_oracle(blk, q_src, kv_src):
+    """``blk``'s forward with one gather/matmul/softmax/matmul chain per head.
+
+    Builds the graph on ``blk``'s own parameters, with the heads concatenated
+    back along the channels. Returns (output tensor, list of per-head (M, L)
+    weights).
+    """
+    q = blk.q_proj(q_src)
+    k = blk.k_proj(kv_src)
+    v = blk.v_proj(kv_src)
+    dh = blk.C // blk.heads
+    scale = 1.0 / np.sqrt(dh)
+    head_outs, weights = [], []
+    for h in range(blk.heads):
+        cols = np.arange(h * dh, (h + 1) * dh)
+        qh = T.gather(q, cols, axis=1)
+        kh = T.gather(k, cols, axis=1)
+        vh = T.gather(v, cols, axis=1)
+        scores = T.mul(T.matmul(qh, T.transpose(kh)), T.tensor(scale, dtype=q.dtype))
+        w = T.softmax(scores, axis=-1)
+        weights.append(w.data.copy())
+        head_outs.append(T.matmul(w, vh))
+    attn = blk.out_proj(T.concat(head_outs, axis=1))
+    x = blk.norm1(T.add(q, attn))
+    ff = blk.ffn2(T.relu(blk.ffn1(x)))
+    return blk.norm2(T.add(x, ff)), weights
 
 
 # -- mesh builders --------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from helpers import box_mesh, save_off, uv_sphere
 
-from duinnet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from duinnet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from duinnet.datasetgen import Manifest
 
 
@@ -121,6 +121,21 @@ def test_train_denoising_task_runs(cli_workspace):
     assert rc == EXIT_OK
 
 
+def test_train_nonfinite_loss_exits_numeric(cli_workspace, tmp_path):
+    _, _, data = cli_workspace
+    import duinnet.tensor as T
+    from duinnet.model import DuInNet, mini_config
+    params = DuInNet(mini_config(), seed=0).state_dict()
+    params["apg.pc_blocks.0.linear2.weight"].data[...] = np.nan  # loss is NaN, forward runs
+    nan_ckpt = tmp_path / "nan.ckpt"
+    T.save_checkpoint(nan_ckpt, params)
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(run), "--profile", "mini",
+                 "--steps", "2", "--limit", "2", "--seed", "0",
+                 "--resume", str(nan_ckpt)]) == EXIT_NUMERIC
+    assert (run / "loss_curve.tsv").read_text() == ""
+
+
 def test_train_unknown_task(cli_workspace):
     base, _, data = cli_workspace
     assert main(["train", "--data", str(data), "--out", str(base / "x"),
@@ -175,6 +190,21 @@ def test_eval_checkpoint_config_mismatch(cli_workspace, tmp_path):
     T.save_checkpoint(bad, other.state_dict())
     assert main(["eval", "--data", str(data), "--out", str(tmp_path / "run"),
                  "--profile", "mini", "--checkpoint", str(bad)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("keep", [8, -3], ids=["header", "data"])
+def test_eval_truncated_checkpoint_exits_data(cli_workspace, tmp_path, capsys, keep):
+    _, _, data = cli_workspace
+    import duinnet.tensor as T
+    from duinnet.model import DuInNet, mini_config
+    cut = tmp_path / "cut.ckpt"
+    T.save_checkpoint(cut, DuInNet(mini_config(), seed=0).state_dict())
+    cut.write_bytes(cut.read_bytes()[:keep])
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--out", str(tmp_path / "run"),
+                 "--profile", "mini", "--checkpoint", str(cut)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cut.ckpt" in err and "Traceback" not in err
 
 
 # -- ablate ------------------------------------------------------------------------

@@ -251,16 +251,16 @@ def test_dataset_fixture_partials_subset_of_complete(two_model_dataset):
         assert all(tuple(p) in pool for p in partial.points)
 
 
-def _generate_good_and_bad(tmp_path, write_bad):
+def _generate_good_and_bad(tmp_path, write_bad, bad_name="bad.off"):
     """Generate a box as model "good" and whatever ``write_bad`` writes as "bad"."""
     mesh_dir = tmp_path / "meshes"
     mesh_dir.mkdir()
     save_off(mesh_dir / "good.off", box_mesh())
-    write_bad(mesh_dir / "bad.off")
+    write_bad(mesh_dir / bad_name)
     cfg = GenConfig(n_points=64, n_viewpoints=2, image_side=32)
     return datasetgen.generate_dataset(
         {("chair", "good"): mesh_dir / "good.off",
-         ("chair", "bad"): mesh_dir / "bad.off"}, cfg, tmp_path / "out")
+         ("chair", "bad"): mesh_dir / bad_name}, cfg, tmp_path / "out")
 
 
 def _assert_only_bad_failed(tmp_path, manifest, report):
@@ -281,6 +281,16 @@ def test_truncated_off_is_reported_not_fatal(tmp_path):
         tmp_path, lambda p: p.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"))
     _assert_only_bad_failed(tmp_path, manifest, report)
     assert "truncated" in report["mesh_errors"][0]["error"]
+
+
+def test_malformed_ply_is_reported_not_fatal(tmp_path):
+    # the face row lists two of its three indices
+    manifest, report = _generate_good_and_bad(
+        tmp_path, lambda p: p.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 3\nelement face 1\nend_header\n"
+            "0 0 0\n1 0 0\n0 1 0\n3 0 1\n"), bad_name="bad.ply")
+    _assert_only_bad_failed(tmp_path, manifest, report)
+    assert "bad.ply" in report["mesh_errors"][0]["error"]
 
 
 def test_failed_hull_is_reported_not_fatal(tmp_path, monkeypatch):

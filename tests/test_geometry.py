@@ -15,7 +15,7 @@ from helpers import (box_mesh, eliminate_samples_oracle, fps_replay_oracle,
 from duinnet.geometry import (GeometryError, HPRConfig, PointCloud, TriMesh,
                               _eliminate_samples,
                               add_gaussian_noise, fps, hidden_point_removal, knn,
-                              load_cloud_ply, load_off, load_ply, normalize_points,
+                              load_cloud_ply, load_off, load_ply,
                               poisson_disk_sample, resample_to, sample_on_mesh,
                               save_cloud_ply)
 
@@ -332,14 +332,6 @@ def test_resample_rejects_nonpositive():
         resample_to(PointCloud(np.zeros((3, 3)) + np.eye(3)), 0)
 
 
-def test_normalize_points_invariants():
-    pts = np.random.default_rng(12).uniform(-3, 9, (200, 3)) * np.array([2.0, 1.0, 0.5])
-    out = normalize_points(pts)
-    assert np.abs(out.mean(axis=0)).max() < 1e-6
-    extent = out.max(axis=0) - out.min(axis=0)
-    assert abs(extent.max() - 1.0) < 1e-9
-
-
 # -- mesh / cloud IO ---------------------------------------------------------------
 
 
@@ -395,6 +387,24 @@ def test_ply_mesh_parse(tmp_path):
         "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
     mesh = load_ply(path)
     assert len(mesh.vertices) == 3 and len(mesh.faces) == 1
+
+
+_PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex 3\nelement face 1\nend_header\n"
+
+
+@pytest.mark.parametrize("text", [
+    _PLY_HEAD + "0 0 0\n1 0 0\n0 1 0\n3 0 1\n",
+    "ply\nformat ascii 1.0\n\nelement vertex 1\nend_header\n0 0 0\n",
+    "ply\nformat ascii 1.0\nelement vertex\nend_header\n0 0 0\n",
+    "ply\nformat\nelement vertex 1\nend_header\n0 0 0\n",
+    _PLY_HEAD + "0 0 0\n1 0 0\n",
+], ids=["short-face", "blank-header-line", "vertex-without-count", "bare-format",
+        "missing-rows"])
+def test_ply_malformed_raises_geometry_error(tmp_path, text):
+    path = tmp_path / "bad.ply"
+    path.write_text(text)
+    with pytest.raises(GeometryError, match="bad.ply"):
+        load_ply(path)
 
 
 def test_cloud_ply_roundtrip(tmp_path):

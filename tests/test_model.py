@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import fps_replay_oracle
+from helpers import attention_per_head_oracle, fps_replay_oracle
 
 from duinnet import tensor as T
 from duinnet.gradcheck import check_fn, check_module_params
@@ -95,6 +95,44 @@ def test_attention_row_stochastic():
         assert w.shape == (6, 9)
         np.testing.assert_allclose(w.sum(axis=1), np.ones(6), atol=1e-6)
         assert np.all(w >= 0)
+
+
+@pytest.mark.parametrize("heads,C,M,L", [
+    (1, 3, 5, 7), (2, 8, 1, 6), (2, 6, 4, 1), (4, 16, 9, 11), (4, 8, 1, 1), (4, 12, 7, 3),
+])
+def test_attention_matches_per_head_oracle(heads, C, M, L):
+    rng = np.random.default_rng(heads * 1000 + C * 100 + M * 10 + L)
+    blk = CrossAttentionBlock(C, heads, np.random.default_rng(C + M + L))
+    q_src, kv_src = rng.standard_normal((M, C)), rng.standard_normal((L, C))
+    probe = T.tensor(rng.standard_normal((M, C)))  # a non-uniform output gradient
+
+    def batched():
+        out = blk(T.tensor(q_src), T.tensor(kv_src))
+        return out, blk.last_attn
+
+    def run(forward):
+        blk.zero_grad()
+        out, weights = forward()
+        T.reduce_sum(T.mul(out, probe)).backward()
+        return out.data, np.stack(list(weights)), {
+            n: p.grad.copy() for n, p in blk.named_parameters()}
+
+    out, weights, grads = run(batched)
+    expect, expect_weights, expect_grads = run(
+        lambda: attention_per_head_oracle(blk, T.tensor(q_src), T.tensor(kv_src)))
+    # each head's products are the same BLAS calls as in the loop, so the
+    # results are equal, not just close
+    assert blk.last_attn.shape == (heads, M, L)
+    np.testing.assert_array_equal(out, expect)
+    np.testing.assert_array_equal(weights, expect_weights)
+    assert set(grads) == set(expect_grads)
+    for name, g in grads.items():
+        np.testing.assert_array_equal(g, expect_grads[name], err_msg=name)
+
+
+def test_attention_rejects_width_not_divisible_by_heads():
+    with pytest.raises(DimensionError):
+        CrossAttentionBlock(6, 4, np.random.default_rng(0))
 
 
 def test_attention_kv_permutation_invariance():

@@ -51,6 +51,22 @@ def test_train_loop_raises_on_nonfinite_loss(shapes):
         train_loop(state, shapes[:1], 1)
 
 
+def test_nonfinite_loss_leaves_state_unchanged(shapes):
+    state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(state, shapes[:2], 2)
+    before = ([p.data.copy() for p in state.params], [m.copy() for m in state.opt.m],
+              [v.copy() for v in state.opt.v])
+    partial, image, gt = shapes[0]
+    gt = gt.copy()
+    gt[0, 0] = np.nan
+    with pytest.raises(FloatingPointError):
+        state.train_step(partial, image, gt)
+    assert state.step == 2 and state.opt.t == 2
+    after = ([p.data for p in state.params], state.opt.m, state.opt.v)
+    for old, new in zip(before, after):
+        assert all(np.array_equal(a, b) for a, b in zip(old, new))
+
+
 def test_checkpoint_resume_reproduces_uninterrupted_run(tmp_path, shapes):
     samples = shapes[:4]
     straight = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
