@@ -159,8 +159,9 @@ def cmd_train(args) -> int:
     ckpt = out / "checkpoint.ckpt"
     resume = _resolve(args, "resume", file_cfg)
     if resume:
+        arrays = T.load_checkpoint(resume)  # unreadable: ValueError, exit 3 in main
         try:
-            state.load(resume)
+            state.restore(arrays)
         except (KeyError, ValueError) as exc:
             print(f"error: cannot resume: {exc}", file=sys.stderr)
             return EXIT_CONFIG

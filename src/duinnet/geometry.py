@@ -92,6 +92,22 @@ class HPRResult:
 # -- sampling ----------------------------------------------------------------
 
 
+def _sq_dist(q, xyz: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Squared distances from query coordinates ``q`` (three scalars, or three
+    column vectors) to the points whose coordinate rows are ``xyz``, into ``out``.
+
+    Summed as (dx*dx + dy*dy) + dz*dz, the order of ``((q - p) ** 2).sum(-1)``
+    and of ``np.linalg.norm(p - q, axis=1)``, so the values are bit-equal to both.
+    """
+    np.subtract(q[0], xyz[0], out=out)
+    np.multiply(out, out, out=out)
+    for j in (1, 2):
+        np.subtract(q[j], xyz[j], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(out, tmp, out=out)
+    return out
+
+
 def fps(points: np.ndarray, m: int, seed_rule: str = "first_index") -> np.ndarray:
     """Greedy farthest point sampling; returns m indices.
 
@@ -110,25 +126,44 @@ def fps(points: np.ndarray, m: int, seed_rule: str = "first_index") -> np.ndarra
         seed = int(np.argmax(d))
     else:
         raise ValueError(f"unknown seed_rule {seed_rule!r}")
+    xyz = np.ascontiguousarray(pts.T)
+    dist, tmp = np.empty(n), np.empty(n)
+    mind = np.full(n, np.inf)
     chosen = np.empty(m, dtype=np.int64)
     chosen[0] = seed
-    mind = np.linalg.norm(pts - pts[seed], axis=1)
     for i in range(1, m):
-        nxt = int(np.argmax(mind))
-        chosen[i] = nxt
-        np.minimum(mind, np.linalg.norm(pts - pts[nxt], axis=1), out=mind)
+        _sq_dist(xyz[:, chosen[i - 1]], xyz, dist, tmp)
+        np.sqrt(dist, out=dist)
+        np.minimum(mind, dist, out=mind)
+        chosen[i] = np.argmax(mind)
     return chosen
 
 
 def knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest points per query, ascending distance, ties by
-    lowest index."""
+    lowest index.
+
+    Exact top-k: a partition finds each row's k-th smallest squared distance,
+    and only the columns not above it are sorted, by (distance, index).
+    """
     pts = np.asarray(points, dtype=np.float64)
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if k > len(pts):
-        raise ValueError(f"knn: k={k} exceeds cloud size {len(pts)}")
-    d2 = ((q[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    m, n = len(q), len(pts)
+    if not 1 <= k <= n:
+        raise ValueError(f"knn: k={k} out of range for cloud size {n}")
+    xyz, q_cols = np.ascontiguousarray(pts.T), q.T[:, :, None]
+    d2 = np.empty((m, n))
+    rows = max(1, 32768 // n)  # row blocks of 256 KiB keep the temporaries in cache
+    tmp = np.empty((min(rows, m), n))
+    for s in range(0, m, rows):
+        block = d2[s:s + rows]
+        _sq_dist(q_cols[:, s:s + rows], xyz, block, tmp[:len(block)])
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    # "not above" rather than "<=": NaN sorts last, so a NaN k-th value keeps its whole row
+    row, col = np.divmod(np.flatnonzero(~(d2 > kth)), n)
+    order = np.lexsort((d2[row, col], row))  # stable: equal distances stay in index order
+    rank = np.arange(len(row)) - np.searchsorted(row, row)  # place within the row
+    return col[order][rank < k].reshape(m, k)
 
 
 def sample_on_mesh(mesh: TriMesh, n: int, rng: np.random.Generator):

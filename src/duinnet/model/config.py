@@ -31,6 +31,8 @@ class ModelConfig:
             )
         if not 0 <= self.n_img_blocks <= self.n_blocks:
             raise ConfigError(f"n_img_blocks={self.n_img_blocks} outside [0, {self.n_blocks}]")
+        if self.k < 1:
+            raise ConfigError(f"k={self.k} must be >= 1 (neighbours per point)")
         if self.C % self.heads:
             raise ConfigError(f"C={self.C} not divisible by heads={self.heads}")
         if self.C % 4:

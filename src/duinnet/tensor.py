@@ -489,19 +489,31 @@ def save_checkpoint(path, params: dict[str, Tensor]) -> None:
       magic ``DPCK\\x01\\n`` | u32 entry count | entries.
       Each entry: u16 name length | name utf-8 | u8 ndim | u32 dims... |
       float32 little-endian values, C order.
+
+    The archive is written to ``<path>.tmp`` and renamed over ``path``, so a
+    write that fails part-way leaves the previous file untouched.
     """
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            t = params[name]
-            enc = name.encode("utf-8")
-            f.write(struct.pack("<H", len(enc)))
-            f.write(enc)
-            f.write(struct.pack("<B", t.ndim))
-            for d in t.shape:
-                f.write(struct.pack("<I", d))
-            f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_CKPT_MAGIC)
+            f.write(struct.pack("<I", len(params)))
+            for name in sorted(params):
+                t = params[name]
+                enc = name.encode("utf-8")
+                f.write(struct.pack("<H", len(enc)))
+                f.write(enc)
+                f.write(struct.pack("<B", t.ndim))
+                for d in t.shape:
+                    f.write(struct.pack("<I", d))
+                f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+            f.flush()
+            os.fsync(f.fileno())  # else a crash after the rename can leave an empty file
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:

@@ -54,7 +54,11 @@ class TrainState:
         T.save_checkpoint(path, entries)
 
     def load(self, path) -> None:
-        arrays = T.load_checkpoint(path)
+        self.restore(T.load_checkpoint(path))
+
+    def restore(self, arrays: dict[str, np.ndarray]) -> None:
+        """Set model, optimizer and step from checkpoint arrays; a missing or
+        mis-shaped parameter raises KeyError or ValueError."""
         self.model.load_state_dict({k: v for k, v in arrays.items()
                                     if not k.startswith(("opt.", "meta."))})
         for i, name in enumerate(self.named):

@@ -83,6 +83,41 @@ def knn_sort_oracle(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarr
     return np.array(out, dtype=np.int64)
 
 
+def fps_norm_loop_oracle(points: np.ndarray, m: int, seed_rule: str = "first_index") -> np.ndarray:
+    """The former ``geometry.fps``: an (n, 3) difference and ``np.linalg.norm``
+    per step."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    if not 1 <= m <= n:
+        raise ValueError(f"fps: m={m} out of range for {n} points")
+    if seed_rule == "first_index":
+        seed = 0
+    elif seed_rule == "farthest_from_centroid":
+        d = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+        seed = int(np.argmax(d))
+    else:
+        raise ValueError(f"unknown seed_rule {seed_rule!r}")
+    chosen = np.empty(m, dtype=np.int64)
+    chosen[0] = seed
+    mind = np.linalg.norm(pts - pts[seed], axis=1)
+    for i in range(1, m):
+        nxt = int(np.argmax(mind))
+        chosen[i] = nxt
+        np.minimum(mind, np.linalg.norm(pts - pts[nxt], axis=1), out=mind)
+    return chosen
+
+
+def knn_argsort_oracle(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """The former ``geometry.knn``: an (m, n, 3) difference and a full stable
+    argsort of every row."""
+    pts = np.asarray(points, dtype=np.float64)
+    q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    if k > len(pts):
+        raise ValueError(f"knn: k={k} exceeds cloud size {len(pts)}")
+    d2 = ((q[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
 # -- synthesis oracles ---------------------------------------------------------
 
 

@@ -136,6 +136,40 @@ def test_train_nonfinite_loss_exits_numeric(cli_workspace, tmp_path):
     assert (run / "loss_curve.tsv").read_text() == ""
 
 
+@pytest.mark.parametrize("keep", [8, -3], ids=["header", "data"])
+def test_train_resume_truncated_checkpoint_exits_data(cli_workspace, tmp_path, capsys, keep):
+    _, _, data = cli_workspace
+    import duinnet.tensor as T
+    from duinnet.model import DuInNet, mini_config
+    cut = tmp_path / "cut.ckpt"
+    T.save_checkpoint(cut, DuInNet(mini_config(), seed=0).state_dict())
+    cut.write_bytes(cut.read_bytes()[:keep])
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "run"),
+                 "--profile", "mini", "--steps", "1", "--limit", "2",
+                 "--resume", str(cut)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "cut.ckpt" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("C,drop", [(16, None), (32, "apg.pc_blocks.0.linear2.weight")],
+                         ids=["shape", "missing-name"])
+def test_train_resume_checkpoint_mismatch_exits_config(cli_workspace, tmp_path, capsys, C, drop):
+    _, _, data = cli_workspace
+    import duinnet.tensor as T
+    from duinnet.model import DuInNet, mini_config
+    params = DuInNet(mini_config(C=C), seed=0).state_dict()
+    params.pop(drop, None)
+    bad = tmp_path / "bad.ckpt"
+    T.save_checkpoint(bad, params)
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(run), "--profile", "mini",
+                 "--steps", "1", "--limit", "2", "--resume", str(bad)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: cannot resume")
+    assert not (run / "loss_curve.tsv").exists()
+
+
 def test_train_unknown_task(cli_workspace):
     base, _, data = cli_workspace
     assert main(["train", "--data", str(data), "--out", str(base / "x"),

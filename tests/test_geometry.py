@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
-from helpers import (box_mesh, eliminate_samples_oracle, fps_replay_oracle,
-                     knn_sort_oracle, save_off, square_mesh, uv_sphere)
+from helpers import (box_mesh, eliminate_samples_oracle, fps_norm_loop_oracle,
+                     fps_replay_oracle, knn_argsort_oracle, knn_sort_oracle, save_off,
+                     square_mesh, uv_sphere)
 
 from duinnet.geometry import (GeometryError, HPRConfig, PointCloud, TriMesh,
                               _eliminate_samples,
@@ -99,6 +100,12 @@ def test_knn_k_too_large():
         knn(np.zeros((3, 3)), np.zeros(3), 4)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_knn_rejects_k_below_one(k):
+    with pytest.raises(ValueError):
+        knn(np.zeros((3, 3)), np.zeros(3), k)
+
+
 def test_knn_full_sort_oracle():
     rng = np.random.default_rng(4)
     pts = rng.standard_normal((128, 3))
@@ -110,6 +117,73 @@ def test_knn_self_index_property():
     pts = np.random.default_rng(5).standard_normal((40, 3))
     idx = knn(pts, pts, 1)
     np.testing.assert_array_equal(idx[:, 0], np.arange(40))
+
+
+# -- fps / knn against the former NumPy implementations ---------------------------
+
+
+@st.composite
+def _tied_clouds(draw, max_n=40):
+    """Points on a coarse integer lattice (some perturbed to arbitrary floats),
+    padded by duplicates as ``resample_to`` pads a partial cloud: equal
+    distances and coincident points are the rule, not the exception."""
+    n = draw(st.integers(1, max_n))
+    coord = st.one_of(st.integers(-2, 2).map(float), st.floats(-2, 2))
+    pts = draw(arrays(np.float64, (n, 3), elements=coord))
+    extra = draw(st.lists(st.integers(0, n - 1), max_size=max_n - n))
+    return np.vstack([pts, pts[extra]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_clouds(), st.data(), st.sampled_from(["first_index", "farthest_from_centroid"]))
+def test_fps_matches_norm_loop_oracle(pts, data, seed_rule):
+    n = len(pts)
+    m = data.draw(st.one_of(st.just(n), st.just(1), st.integers(1, n)), label="m")
+    np.testing.assert_array_equal(fps(pts, m, seed_rule=seed_rule),
+                                  fps_norm_loop_oracle(pts, m, seed_rule=seed_rule))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_clouds(), st.data())
+def test_knn_matches_argsort_oracle(pts, data):
+    n = len(pts)
+    k = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="k")
+    queries = data.draw(st.one_of(
+        st.just(pts),                                  # m == n: every point queries the cloud
+        st.integers(0, n - 1).map(lambda i: pts[i]),   # a single (3,) query
+        _tied_clouds(max_n=12)), label="queries")
+    np.testing.assert_array_equal(knn(pts, queries, k), knn_argsort_oracle(pts, queries, k))
+
+
+def test_fps_knn_match_oracles_on_padded_partial():
+    # the encoder's calls on a 535-point partial padded to 2,048 by duplication
+    rng = np.random.default_rng(7)
+    pts = resample_to(PointCloud(rng.standard_normal((535, 3))), 2048, seed=3).points
+    idx = fps(pts, 512, seed_rule="farthest_from_centroid")
+    np.testing.assert_array_equal(idx, fps_norm_loop_oracle(pts, 512, "farthest_from_centroid"))
+    centers = pts[idx]
+    np.testing.assert_array_equal(knn(pts, centers, 16), knn_argsort_oracle(pts, centers, 16))
+    np.testing.assert_array_equal(knn(centers, centers, 16),
+                                  knn_argsort_oracle(centers, centers, 16))
+
+
+def test_fps_knn_keep_the_oracles_sum_order():
+    # (a, b, c) and (c, b, a) are equally far from the origin in exact arithmetic,
+    # but (a*a + b*b) + c*c and (c*c + b*b) + a*a can differ in the last bit
+    rng = np.random.default_rng(9)
+    half = rng.uniform(-2, 2, size=(200, 3))
+    pts = np.vstack([np.zeros((1, 3)), half, half[:, ::-1]])
+    np.testing.assert_array_equal(knn(pts, pts[0], len(pts)),
+                                  knn_argsort_oracle(pts, pts[0], len(pts)))
+    np.testing.assert_array_equal(fps(pts, 100), fps_norm_loop_oracle(pts, 100))
+
+
+def test_fps_knn_match_oracles_with_nan_points():
+    pts = np.random.default_rng(8).standard_normal((30, 3))
+    pts[[2, 9, 10]] = np.nan
+    np.testing.assert_array_equal(fps(pts, 12), fps_norm_loop_oracle(pts, 12))
+    for k in (1, 5, 28, 30):
+        np.testing.assert_array_equal(knn(pts, pts, k), knn_argsort_oracle(pts, pts, k))
 
 
 # -- poisson disk sampling -------------------------------------------------------

@@ -46,6 +46,7 @@ def test_config_profiles():
     dict(C=30, heads=2),                   # C not divisible by 4
     dict(N=200, n_blocks=4, block_points=50),  # N not divisible by 16
     dict(image_side=40),                   # not divisible by 16
+    dict(k=0),                             # no neighbours to group
 ])
 def test_config_invariant_violations(overrides):
     with pytest.raises(ConfigError):

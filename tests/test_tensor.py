@@ -359,3 +359,26 @@ def test_checkpoint_truncated_raises_value_error(tmp_path, keep):
     path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(ValueError, match="truncated"):
         T.load_checkpoint(path)
+
+
+class _FailingEntry:
+    """A parameter whose values cannot be read, so the write stops after the
+    entries sorted before it."""
+    ndim, shape = 1, (2,)
+
+    @property
+    def data(self):
+        raise OSError("disk full")
+
+
+def test_checkpoint_failed_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    T.save_checkpoint(path, {"w": T.tensor(np.arange(6, dtype=np.float32).reshape(2, 3))})
+    before = path.read_bytes()
+    entries = {"a": T.tensor(np.ones(4, dtype=np.float32)), "z": _FailingEntry()}
+    with pytest.raises(OSError, match="disk full"):
+        T.save_checkpoint(path, entries)
+    assert path.read_bytes() == before
+    np.testing.assert_array_equal(T.load_checkpoint(path)["w"],
+                                  np.arange(6, dtype=np.float32).reshape(2, 3))
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
