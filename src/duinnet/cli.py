@@ -306,7 +306,7 @@ def cmd_ablate(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .model.attention import CrossAttentionBlock
     from .model.generator import GeneratorBlock
-    from .model.network import chamfer_l1_t, completion_loss
+    from .model.network import completion_loss
 
     rng = np.random.default_rng(int(getattr(args, "seed", 0) or 0))
     T.set_default_dtype(np.float64)

@@ -108,6 +108,21 @@ def _sq_dist(q, xyz: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray
     return out
 
 
+def _sq_dist_blocks(pts: np.ndarray, q: np.ndarray, out: np.ndarray | None = None):
+    """Yield ``(start, block)``: the squared distances of query rows
+    ``start:start + len(block)`` to all points, in 256 KiB row blocks that keep
+    the temporaries in cache. Blocks are views of ``out`` (queries, points)
+    when given, else of one reused buffer.
+    """
+    m, n = len(q), len(pts)
+    xyz, q_cols = np.ascontiguousarray(pts.T), q.T[:, :, None]
+    rows = max(1, 262144 // (n * pts.dtype.itemsize))
+    buf = np.empty((1 + (out is None), min(rows, m), n), dtype=pts.dtype)
+    for s in range(0, m, rows):
+        block = buf[1, :min(rows, m - s)] if out is None else out[s:s + rows]
+        yield s, _sq_dist(q_cols[:, s:s + rows], xyz, block, buf[0, :len(block)])
+
+
 def fps(points: np.ndarray, m: int, seed_rule: str = "first_index") -> np.ndarray:
     """Greedy farthest point sampling; returns m indices.
 
@@ -151,19 +166,33 @@ def knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     m, n = len(q), len(pts)
     if not 1 <= k <= n:
         raise ValueError(f"knn: k={k} out of range for cloud size {n}")
-    xyz, q_cols = np.ascontiguousarray(pts.T), q.T[:, :, None]
     d2 = np.empty((m, n))
-    rows = max(1, 32768 // n)  # row blocks of 256 KiB keep the temporaries in cache
-    tmp = np.empty((min(rows, m), n))
-    for s in range(0, m, rows):
-        block = d2[s:s + rows]
-        _sq_dist(q_cols[:, s:s + rows], xyz, block, tmp[:len(block)])
+    for _ in _sq_dist_blocks(pts, q, d2):
+        pass
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
     # "not above" rather than "<=": NaN sorts last, so a NaN k-th value keeps its whole row
     row, col = np.divmod(np.flatnonzero(~(d2 > kth)), n)
     order = np.lexsort((d2[row, col], row))  # stable: equal distances stay in index order
     rank = np.arange(len(row)) - np.searchsorted(row, row)  # place within the row
     return col[order][rank < k].reshape(m, k)
+
+
+def nearest(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index of the nearest point for each query; ties go to the lowest index.
+
+    Scans the squared distances in row blocks, in the inputs' own float dtype,
+    and takes each row's ``argmin``, so the indices equal ``np.argmin`` over the
+    dense (queries, points) distance matrix: NaN rows and columns included, and
+    with points and queries swapped, since (b - a)**2 == (a - b)**2 bit for bit.
+    """
+    pts, q = np.asarray(points), np.atleast_2d(np.asarray(queries))
+    if len(pts) == 0:
+        raise ValueError("nearest: empty point set")
+    dtype = np.result_type(pts, q, np.float32)
+    idx = np.empty(len(q), dtype=np.int64)
+    for s, block in _sq_dist_blocks(pts.astype(dtype, copy=False), q.astype(dtype, copy=False)):
+        np.argmin(block, axis=1, out=idx[s:s + len(block)])
+    return idx
 
 
 def sample_on_mesh(mesh: TriMesh, n: int, rng: np.random.Generator):

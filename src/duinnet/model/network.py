@@ -16,18 +16,18 @@ from .generator import AdaptivePointGenerator
 def chamfer_l1_t(a: Tensor, b: Tensor) -> Tensor:
     """Differentiable symmetric mean nearest-neighbor distance (halved per side).
 
-    Argmin selection is a constant during backward; gradients flow only to the
+    ``geometry.nearest`` picks each point's nearest neighbor in the other cloud
+    off the tape (ties to the lowest index), and only those |a| + |b| pairs are
+    differentiated, so the tape holds O(|a| + |b|) values, not an (|a|, |b|, 3)
+    difference. The chosen indices are constants; gradients flow only to the
     selected pairs.
     """
-    an = T.reshape(a, (a.shape[0], 1, 3))
-    bn = T.reshape(b, (1, b.shape[0], 3))
-    diff = T.sub(an, bn)
-    d2 = T.reduce_sum(T.mul(diff, diff), axis=2)          # (|a|, |b|)
-    dab, _ = T.reduce_min(d2, axis=1)
-    dba, _ = T.reduce_min(d2, axis=0)
+    def side(p, q):  # mean distance from each point of p to its nearest point of q
+        d = T.sub(p, T.gather(q, geometry.nearest(q.data, p.data), axis=0))
+        return T.reduce_mean(T.sqrt_safe(T.reduce_sum(T.mul(d, d), axis=1)))
+
     half = T.tensor(0.5, dtype=a.dtype)
-    return T.add(T.mul(T.reduce_mean(T.sqrt_safe(dab)), half),
-                 T.mul(T.reduce_mean(T.sqrt_safe(dba)), half))
+    return T.add(T.mul(side(a, b), half), T.mul(side(b, a), half))
 
 
 def completion_loss(p_gen1: Tensor, p_gen2: Tensor, p_gt, mode: str = "standard") -> Tensor:

@@ -68,6 +68,7 @@ class Module:
         return dict(self.named_parameters())
 
     def load_state_dict(self, arrays: dict[str, np.ndarray]) -> None:
+        """Set every parameter from ``arrays``; all are checked before any is set."""
         own = self.state_dict()
         for name, p in own.items():
             if name not in arrays:
@@ -78,7 +79,8 @@ class Module:
                     f"shape mismatch for parameter '{name}': "
                     f"checkpoint {tuple(arr.shape)} vs model {p.shape}"
                 )
-            p.data = arr.astype(p.data.dtype).copy()
+        for name, p in own.items():
+            p.data = arrays[name].astype(p.data.dtype).copy()
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

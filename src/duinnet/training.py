@@ -35,8 +35,12 @@ class TrainState:
         loss = self.model.loss(out, gt, mode=mode)
         loss.backward()
         value = float(loss.data)
-        if not np.isfinite(value):  # before the update, so no state changes
+        # both checks come before the update, so a failure changes no state
+        if not np.isfinite(value):
             raise FloatingPointError(f"non-finite loss at step {self.step}")
+        for name, p in self.named.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise FloatingPointError(f"non-finite gradient of '{name}' at step {self.step}")
         self.opt.lr = self._current_lr()
         self.opt.step()
         self.step += 1
@@ -57,8 +61,20 @@ class TrainState:
         self.restore(T.load_checkpoint(path))
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        """Set model, optimizer and step from checkpoint arrays; a missing or
-        mis-shaped parameter raises KeyError or ValueError."""
+        """Set model, optimizer and step from checkpoint arrays.
+
+        Every entry is checked before any state changes: a missing parameter
+        raises KeyError, a mis-shaped parameter or optimizer moment ValueError.
+        """
+        for name, p in self.named.items():
+            moments = [k for k in (f"opt.m.{name}", f"opt.v.{name}") if k in arrays]
+            if len(moments) == 1:
+                raise KeyError(f"checkpoint has '{moments[0]}' without its pair")
+            for key in moments:
+                if arrays[key].shape != p.shape:
+                    raise ValueError(f"shape mismatch for '{key}': "
+                                     f"checkpoint {arrays[key].shape} vs model {p.shape}")
+        # load_state_dict checks every parameter before it sets any
         self.model.load_state_dict({k: v for k, v in arrays.items()
                                     if not k.startswith(("opt.", "meta."))})
         for i, name in enumerate(self.named):

@@ -118,6 +118,22 @@ def knn_argsort_oracle(points: np.ndarray, queries: np.ndarray, k: int) -> np.nd
     return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
+def chamfer_dense_oracle(a: T.Tensor, b: T.Tensor):
+    """The former ``network.chamfer_l1_t``: an (|a|, |b|, 3) difference on the
+    tape and ``reduce_min`` both ways. Returns the loss and the chosen nearest
+    indices (of ``b`` per point of ``a``, of ``a`` per point of ``b``)."""
+    an = T.reshape(a, (a.shape[0], 1, 3))
+    bn = T.reshape(b, (1, b.shape[0], 3))
+    diff = T.sub(an, bn)
+    d2 = T.reduce_sum(T.mul(diff, diff), axis=2)          # (|a|, |b|)
+    dab, idx_ab = T.reduce_min(d2, axis=1)
+    dba, idx_ba = T.reduce_min(d2, axis=0)
+    half = T.tensor(0.5, dtype=a.dtype)
+    loss = T.add(T.mul(T.reduce_mean(T.sqrt_safe(dab)), half),
+                 T.mul(T.reduce_mean(T.sqrt_safe(dba)), half))
+    return loss, idx_ab, idx_ba
+
+
 # -- synthesis oracles ---------------------------------------------------------
 
 

@@ -170,6 +170,28 @@ def test_train_resume_checkpoint_mismatch_exits_config(cli_workspace, tmp_path, 
     assert not (run / "loss_curve.tsv").exists()
 
 
+@pytest.mark.parametrize("moment", ["m", "v"])
+def test_train_resume_misshaped_moment_exits_config(cli_workspace, tmp_path, capsys, moment):
+    _, _, data = cli_workspace
+    import duinnet.tensor as T
+    from duinnet.model import DuInNet, mini_config
+    from duinnet.training import TrainState
+    good = tmp_path / "good.ckpt"
+    TrainState(DuInNet(mini_config(), seed=0)).save(good)
+    arrays = T.load_checkpoint(good)
+    key = f"opt.{moment}.apg.img_blocks.0.lbr1.bn.bias"
+    arrays[key] = np.zeros((1, 1), dtype=np.float32)
+    bad = tmp_path / "bad.ckpt"
+    T.save_checkpoint(bad, {k: T.tensor(v) for k, v in arrays.items()})
+    capsys.readouterr()
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(data), "--out", str(run), "--profile", "mini",
+                 "--steps", "1", "--limit", "2", "--resume", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot resume") and key in err
+    assert not (run / "loss_curve.tsv").exists()
+
+
 def test_train_unknown_task(cli_workspace):
     base, _, data = cli_workspace
     assert main(["train", "--data", str(data), "--out", str(base / "x"),

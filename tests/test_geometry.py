@@ -16,7 +16,7 @@ from helpers import (box_mesh, eliminate_samples_oracle, fps_norm_loop_oracle,
 from duinnet.geometry import (GeometryError, HPRConfig, PointCloud, TriMesh,
                               _eliminate_samples,
                               add_gaussian_noise, fps, hidden_point_removal, knn,
-                              load_cloud_ply, load_off, load_ply,
+                              load_cloud_ply, load_off, load_ply, nearest,
                               poisson_disk_sample, resample_to, sample_on_mesh,
                               save_cloud_ply)
 
@@ -184,6 +184,53 @@ def test_fps_knn_match_oracles_with_nan_points():
     np.testing.assert_array_equal(fps(pts, 12), fps_norm_loop_oracle(pts, 12))
     for k in (1, 5, 28, 30):
         np.testing.assert_array_equal(knn(pts, pts, k), knn_argsort_oracle(pts, pts, k))
+
+
+# -- nearest -----------------------------------------------------------------------
+
+
+def _dense_argmin(points, queries):
+    """The index ``np.argmin`` picks in each row of the dense squared-distance matrix."""
+    return ((queries[:, None, :] - points[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tied_clouds(), st.data(), st.sampled_from([np.float32, np.float64]))
+def test_nearest_matches_dense_argmin(pts, data, dtype):
+    queries = data.draw(st.one_of(st.just(pts), _tied_clouds(max_n=12)), label="queries")
+    pts, queries = pts.astype(dtype), queries.astype(dtype)
+    np.testing.assert_array_equal(nearest(pts, queries), _dense_argmin(pts, queries))
+    np.testing.assert_array_equal(nearest(queries, pts), _dense_argmin(queries, pts))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_nearest_across_row_blocks(dtype):
+    # 700 points give row blocks of 46 or 93 queries; 1,000 queries leave a short last block
+    rng = np.random.default_rng(10)
+    pts = resample_to(PointCloud(rng.standard_normal((250, 3))), 700, seed=1).points
+    queries = np.vstack([pts[::3], rng.standard_normal((1000 - len(pts[::3]), 3))])
+    pts, queries = pts.astype(dtype), queries.astype(dtype)
+    np.testing.assert_array_equal(nearest(pts, queries), _dense_argmin(pts, queries))
+    np.testing.assert_array_equal(nearest(pts, queries), knn(pts, queries, 1)[:, 0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_nearest_keeps_the_dense_sum_order_and_nan_rule(dtype):
+    rng = np.random.default_rng(11)
+    half = rng.uniform(-2, 2, size=(200, 3))
+    pts = np.vstack([half, half[:, ::-1]]).astype(dtype)   # mirrored: equal in exact arithmetic
+    origin = np.zeros((1, 3), dtype=dtype)
+    np.testing.assert_array_equal(nearest(pts, origin), _dense_argmin(pts, origin))
+    pts[[5, 17]] = np.nan  # a NaN distance wins argmin, so NaN points are picked first
+    queries = rng.standard_normal((30, 3)).astype(dtype)
+    queries[3] = np.nan
+    np.testing.assert_array_equal(nearest(pts, queries), _dense_argmin(pts, queries))
+    np.testing.assert_array_equal(nearest(queries, pts), _dense_argmin(queries, pts))
+
+
+def test_nearest_rejects_empty_point_set():
+    with pytest.raises(ValueError):
+        nearest(np.zeros((0, 3)), np.zeros((2, 3)))
 
 
 # -- poisson disk sampling -------------------------------------------------------

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import attention_per_head_oracle, fps_replay_oracle
+from helpers import attention_per_head_oracle, chamfer_dense_oracle, fps_replay_oracle
 
-from duinnet import tensor as T
+from duinnet import geometry, tensor as T
 from duinnet.gradcheck import check_fn, check_module_params
 from duinnet.model import DuInNet, make_config, mini_config, paper_config
 from duinnet.model.attention import CrossAttentionBlock, DualFeatureInteractor
@@ -381,6 +384,42 @@ def test_loss_denoising_drops_second_term():
     np.testing.assert_allclose(
         float(s.data),
         float(chamfer_l1_t(g1, gt).data) + float(chamfer_l1_t(g2, gt).data), rtol=1e-12)
+
+
+@st.composite
+def _chamfer_clouds(draw):
+    """Two clouds of one dtype on a coarse lattice (some coordinates arbitrary),
+    padded by duplicates: from 1 point up, of equal or different sizes, or equal."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+
+    def cloud():
+        n = draw(st.one_of(st.just(1), st.integers(1, 24)))
+        coord = st.one_of(st.integers(-2, 2).map(lambda k: k / 2.0), st.floats(-2, 2))
+        pts = draw(arrays(np.float64, (n, 3), elements=coord))
+        return np.vstack([pts, pts[draw(st.lists(st.integers(0, n - 1), max_size=8))]])
+
+    a = cloud()
+    b = a.copy() if draw(st.booleans()) else cloud()
+    return a.astype(dtype), b.astype(dtype)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chamfer_clouds())
+def test_chamfer_matches_dense_oracle(clouds):
+    a_np, b_np = clouds
+    a, b = T.tensor(a_np, requires_grad=True), T.tensor(b_np, requires_grad=True)
+    loss = chamfer_l1_t(a, b)
+    loss.backward()
+    da, db = T.tensor(a_np, requires_grad=True), T.tensor(b_np, requires_grad=True)
+    dense, idx_ab, idx_ba = chamfer_dense_oracle(da, db)
+    dense.backward()
+    assert loss.data.dtype == dense.data.dtype == a_np.dtype
+    np.testing.assert_array_equal(loss.data, dense.data)
+    np.testing.assert_array_equal(geometry.nearest(b_np, a_np), idx_ab)
+    np.testing.assert_array_equal(geometry.nearest(a_np, b_np), idx_ba)
+    tol = 1e-5 if a_np.dtype == np.float32 else 1e-12  # gradients only sum in another order
+    np.testing.assert_allclose(a.grad, da.grad, rtol=tol, atol=tol)
+    np.testing.assert_allclose(b.grad, db.grad, rtol=tol, atol=tol)
 
 
 def test_loss_unknown_mode():

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from helpers import overfit_shapes
 
+from duinnet import tensor as T
 from duinnet.model import DuInNet, mini_config
 from duinnet.training import TrainState, train_loop
 
@@ -14,6 +17,18 @@ from duinnet.training import TrainState, train_loop
 @pytest.fixture(scope="module")
 def shapes():
     return overfit_shapes()
+
+
+def _snapshot(state):
+    return ([p.data.copy() for p in state.params], [m.copy() for m in state.opt.m],
+            [v.copy() for v in state.opt.v], state.step, state.opt.t)
+
+
+def _assert_unchanged(state, before):
+    params, m, v, step, t = before
+    assert (state.step, state.opt.t) == (step, t)
+    for old, new in ((params, [p.data for p in state.params]), (m, state.opt.m), (v, state.opt.v)):
+        assert all(np.array_equal(a, b) for a, b in zip(old, new))
 
 
 def test_train_step_returns_finite_scalar(shapes):
@@ -54,17 +69,76 @@ def test_train_loop_raises_on_nonfinite_loss(shapes):
 def test_nonfinite_loss_leaves_state_unchanged(shapes):
     state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
     train_loop(state, shapes[:2], 2)
-    before = ([p.data.copy() for p in state.params], [m.copy() for m in state.opt.m],
-              [v.copy() for v in state.opt.v])
+    before = _snapshot(state)
     partial, image, gt = shapes[0]
     gt = gt.copy()
     gt[0, 0] = np.nan
     with pytest.raises(FloatingPointError):
         state.train_step(partial, image, gt)
     assert state.step == 2 and state.opt.t == 2
-    after = ([p.data for p in state.params], state.opt.m, state.opt.v)
-    for old, new in zip(before, after):
-        assert all(np.array_equal(a, b) for a, b in zip(old, new))
+    _assert_unchanged(state, before)
+
+
+def test_nan_generated_point_raises_before_update(shapes, monkeypatch):
+    state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(state, shapes[:2], 2)
+    apg = state.model.apg
+
+    def apg_with_nan_point(*args):
+        out = apg(*args)
+        out.data[5] = np.nan
+        return out
+
+    monkeypatch.setattr(state.model, "apg", apg_with_nan_point)
+    before = _snapshot(state)
+    with pytest.raises(FloatingPointError, match="non-finite loss"):
+        state.train_step(*shapes[0])
+    _assert_unchanged(state, before)
+
+
+def test_nonfinite_gradient_with_finite_loss_raises_before_update(shapes, monkeypatch):
+    state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(state, shapes[:2], 2)
+    name = "apg.pc_blocks.0.linear2.weight"
+    w, loss = state.named[name], state.model.loss
+
+    def loss_with_nan_gradient(out, gt, mode="standard"):
+        # a node worth 0 whose backward writes NaN into one parameter's gradient
+        nan_grad = T._make(np.zeros((), dtype=w.dtype), "nan_grad", (w,),
+                           lambda g: w._accumulate(np.full_like(w.data, np.nan)))
+        return T.add(loss(out, gt, mode), nan_grad)
+
+    monkeypatch.setattr(state.model, "loss", loss_with_nan_gradient)
+    before = _snapshot(state)
+    with pytest.raises(FloatingPointError, match=f"non-finite gradient of '{name}'"):
+        state.train_step(*shapes[0])
+    _assert_unchanged(state, before)
+
+
+@pytest.mark.parametrize("prefix", ["", "opt.m.", "opt.v."], ids=["param", "m", "v"])
+def test_restore_rejects_misshaped_entry_before_any_change(tmp_path, shapes, prefix):
+    source = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(source, shapes[:1], 1)
+    source.save(tmp_path / "a.ckpt")
+    arrays = T.load_checkpoint(tmp_path / "a.ckpt")
+    target = TrainState(DuInNet(mini_config(), seed=1), lr=1e-3)
+    key = prefix + list(target.named)[-1]  # last, so setting while checking would set the rest
+    arrays[key] = np.zeros((1, 1), dtype=np.float32)
+    before = _snapshot(target)
+    with pytest.raises(ValueError, match=re.escape(f"'{key}'")):
+        target.restore(arrays)
+    _assert_unchanged(target, before)
+
+
+def test_restore_rejects_moment_without_its_pair(tmp_path, shapes):
+    state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    state.save(tmp_path / "a.ckpt")
+    arrays = T.load_checkpoint(tmp_path / "a.ckpt")
+    del arrays["opt.v." + list(state.named)[-1]]
+    before = _snapshot(state)
+    with pytest.raises(KeyError, match="without its pair"):
+        state.restore(arrays)
+    _assert_unchanged(state, before)
 
 
 def test_checkpoint_resume_reproduces_uninterrupted_run(tmp_path, shapes):
