@@ -199,15 +199,15 @@ def cmd_eval(args) -> int:
     if ckpt:
         arrays = T.load_checkpoint(ckpt)
         try:
-            model.load_state_dict({k: v for k, v in arrays.items()
-                                   if not k.startswith(("opt.", "meta."))})
+            model.load_state_dict(arrays)
         except (KeyError, ValueError) as exc:
             print(f"error: checkpoint mismatch: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     model.eval()
     preds, gts = [], []
     for partial, image, gt, rec in samples:
-        res = model(partial.points, image)
+        with T.no_grad():
+            res = model(partial.points, image)
         preds.append(geometry.PointCloud(res["p_gen2"].data.astype(np.float64),
                                          category=rec.category))
         gts.append(gt)
@@ -287,7 +287,8 @@ def cmd_ablate(args) -> int:
             model.eval()
             preds, gts = [], []
             for partial, image, gt, rec in test:
-                res = model(partial.points, image)
+                with T.no_grad():
+                    res = model(partial.points, image)
                 preds.append(geometry.PointCloud(res["p_gen2"].data.astype(np.float64),
                                                  category=rec.category))
                 gts.append(gt)

@@ -15,6 +15,8 @@ from .tensor import Tensor
 class Module:
     """Base class: children and parameters are discovered from attributes."""
 
+    buffer_names: tuple[str, ...] = ()
+
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
@@ -30,15 +32,28 @@ class Module:
                     if isinstance(item, Module):
                         yield from item.named_parameters(f"{full}.{i}.")
 
-    def modules(self):
-        yield self
-        for attr in vars(self).values():
+    def named_modules(self, prefix: str = ""):
+        """(dotted name, module) of this module ("") and every descendant."""
+        yield prefix, self
+        for name, attr in vars(self).items():
+            full = f"{prefix}.{name}" if prefix else name
             if isinstance(attr, Module):
-                yield from attr.modules()
+                yield from attr.named_modules(full)
             elif isinstance(attr, (list, tuple)):
-                for item in attr:
+                for i, item in enumerate(attr):
                     if isinstance(item, Module):
-                        yield from item.modules()
+                        yield from item.named_modules(f"{full}.{i}")
+
+    def modules(self):
+        return (m for _, m in self.named_modules())
+
+    def named_buffers(self):
+        """(dotted name, array) of every non-parameter state array, e.g.
+        ``apg.pc_blocks.0.lbr1.bn.running_mean``; a module lists its own in
+        ``buffer_names``."""
+        for prefix, m in self.named_modules():
+            for name in m.buffer_names:
+                yield f"{prefix}.{name}" if prefix else name, getattr(m, name)
 
     def train(self, mode: bool = True):
         for m in self.modules():
@@ -58,29 +73,45 @@ class Module:
         for _, p in self.named_parameters():
             p.data = p.data.astype(dtype)
             p.grad = None
-        for m in self.modules():
-            for buf in ("running_mean", "running_var"):
-                if hasattr(m, buf):
-                    setattr(m, buf, getattr(m, buf).astype(dtype))
+        owners = dict(self.named_modules())
+        for name, buf in list(self.named_buffers()):
+            owner, _, attr = name.rpartition(".")
+            setattr(owners[owner], attr, buf.astype(dtype))
         return self
 
     def state_dict(self) -> dict[str, Tensor]:
-        return dict(self.named_parameters())
+        """Parameters by name, and buffers as ``buf.<name>`` tensors that share
+        the module's arrays."""
+        state = dict(self.named_parameters())
+        state.update((f"buf.{name}", Tensor(buf)) for name, buf in self.named_buffers())
+        return state
 
     def load_state_dict(self, arrays: dict[str, np.ndarray]) -> None:
-        """Set every parameter from ``arrays``; all are checked before any is set."""
-        own = self.state_dict()
-        for name, p in own.items():
+        """Set every parameter from ``arrays``, and every buffer from its
+        ``buf.<name>`` entry; other entries (optimizer state) are ignored.
+
+        An archive without any ``buf.`` entry leaves the buffers as they are.
+        Every entry is checked before anything is set: a missing one raises
+        KeyError, a mis-shaped one ValueError.
+        """
+        params = dict(self.named_parameters())
+        buffers = {}
+        if any(k.startswith("buf.") for k in arrays):
+            buffers = {f"buf.{name}": buf for name, buf in self.named_buffers()}
+        for name, target in [*params.items(), *buffers.items()]:
+            kind = "buffer" if name in buffers else "parameter"
             if name not in arrays:
-                raise KeyError(f"checkpoint missing parameter '{name}'")
+                raise KeyError(f"checkpoint missing {kind} '{name}'")
             arr = arrays[name]
-            if tuple(arr.shape) != p.shape:
+            if arr.shape != target.shape:
                 raise ValueError(
-                    f"shape mismatch for parameter '{name}': "
-                    f"checkpoint {tuple(arr.shape)} vs model {p.shape}"
+                    f"shape mismatch for {kind} '{name}': "
+                    f"checkpoint {tuple(arr.shape)} vs model {target.shape}"
                 )
-        for name, p in own.items():
+        for name, p in params.items():
             p.data = arrays[name].astype(p.data.dtype).copy()
+        for name, buf in buffers.items():
+            np.copyto(buf, arrays[name])
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -110,6 +141,8 @@ class LayerNorm(Module):
 
 
 class BatchNorm1d(Module):
+    buffer_names = ("running_mean", "running_var")
+
     def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
         self.gain = Tensor(np.ones(dim, dtype=T.default_dtype()), requires_grad=True)
         self.bias = Tensor(np.zeros(dim, dtype=T.default_dtype()), requires_grad=True)

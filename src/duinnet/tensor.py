@@ -4,7 +4,8 @@ Tensors wrap contiguous numpy arrays. Every differentiable operation records
 its inputs and a backward closure on the output node; ``Tensor.backward()``
 topologically orders the recorded graph (a :class:`GradTape`) and replays it
 in reverse, accumulating gradients into every reachable leaf that has
-``requires_grad`` set.
+``requires_grad`` set. An intermediate node's gradient is dropped as soon as
+its own backward closure has run; inside :class:`no_grad` nothing is recorded.
 
 Two precisions are supported: float32 (training default) and float64
 (gradient-check suites). The default is switchable via
@@ -89,6 +90,8 @@ class Tensor:
         for node in reversed(tape.entries):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None  # every consumer has already run: free it
         return tape
 
 
@@ -136,10 +139,31 @@ def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=requires_grad, dtype=dtype)
 
 
+_GRAD_ENABLED = True
+
+
+class no_grad:
+    """Context in which operations record no graph.
+
+    Outputs made inside it are constants (no parents, no backward closure),
+    so a forward pass keeps nothing alive for a backward pass that will not
+    run. Contexts nest; like a tape, the setting is not thread-safe.
+    """
+
+    def __enter__(self) -> "no_grad":
+        global _GRAD_ENABLED
+        self._prev, _GRAD_ENABLED = _GRAD_ENABLED, False
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _GRAD_ENABLED
+        _GRAD_ENABLED = self._prev
+
+
 def _make(out_data: np.ndarray, op: str, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(out_data)
-    if any(p.requires_grad or p._parents for p in parents):
-        out.requires_grad = any(p.requires_grad or p._parents for p in parents)
+    if _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents):
+        out.requires_grad = True
         out._op = op
         out._parents = tuple(parents)
         out._backward = backward
@@ -436,43 +460,83 @@ def batch_norm_1d(
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2D convolution on a single (H, W, Cin) image with (kh, kw, Cin, Cout) weights."""
+    """2D convolution on a single (H, W, Cin) image with (kh, kw, Cin, Cout) weights.
+
+    Shifted GEMM (kn2row; Anderson et al. 2017, arXiv:1709.03395), with no
+    im2col matrix. The zero-padded image is split into ``stride``-squared
+    polyphase images, each flattened to rows of ``Cin`` values at one common
+    width ``Wq``. Tap ``(i, j)`` is then one GEMM on a contiguous row range of
+    phase ``(i % stride, j % stride)``, starting at row
+    ``(i // stride) * Wq + j // stride``. The output is computed over the full
+    width ``Wq``, and its last ``Wq - Wo`` columns, which wrap across image
+    rows, are dropped. Backward uses the same row ranges, with zeros in those
+    columns of the output gradient. Taps are summed one at a time, so float32
+    results round differently from a single (Ho*Wo, kh*kw*Cin) product.
+    """
     H, W, Cin = x.shape
     kh, kw, wcin, Cout = w.shape
     if wcin != Cin:
         raise DimensionError(f"conv2d channel mismatch: input {x.shape}, weight {w.shape}")
-    xp = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0)))
-    Ho = (H + 2 * padding - kh) // stride + 1
-    Wo = (W + 2 * padding - kw) // stride + 1
-    cols = np.empty((Ho * Wo, kh * kw * Cin), dtype=x.data.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            patch = xp[i : i + Ho * stride : stride, j : j + Wo * stride : stride, :]
-            cols[:, (i * kw + j) * Cin : (i * kw + j + 1) * Cin] = patch.reshape(Ho * Wo, Cin)
-    wmat = w.data.reshape(kh * kw * Cin, Cout)
-    out_data = cols @ wmat
-    if b is not None:
-        out_data = out_data + b.data
-    out_data = out_data.reshape(Ho, Wo, Cout)
+    s, pad = stride, padding
+    Ho = (H + 2 * pad - kh) // s + 1
+    Wo = (W + 2 * pad - kw) // s + 1
+    Hq, Wq = -(-(H + 2 * pad) // s), -(-(W + 2 * pad) // s)
+    n = Ho * Wq  # output rows computed, wrapped columns included
+    phases = sorted({(i % s, j % s) for i in range(kh) for j in range(kw)})
+    # (phase, first row, weight) per tap; a window is xq[phase, row : row + n]
+    taps = [(phases.index((i % s, j % s)), (i // s) * Wq + j // s, w.data[i, j])
+            for i in range(kh) for j in range(kw)]
+
+    def image_slices(a: int, c: int):
+        """x[src] holds exactly the pixels of phase (a, c), at grid[dst]."""
+        r0, c0 = (a - pad) % s, (c - pad) % s
+        y0, q0 = (r0 + pad) // s, (c0 + pad) // s
+        src = (slice(r0, None, s), slice(c0, None, s))
+        dst = (slice(y0, y0 + len(range(r0, H, s))), slice(q0, q0 + len(range(c0, W, s))))
+        return src, dst
+
+    def grid(arr: np.ndarray, k: int) -> np.ndarray:
+        return arr[k, : Hq * Wq].reshape(Hq, Wq, Cin)
+
+    # the last window of a row range runs (kw - 1) // s rows past the image
+    xq = np.zeros((len(phases), Hq * Wq + (kw - 1) // s, Cin), dtype=x.data.dtype)
+    for k, phase in enumerate(phases):
+        src, dst = image_slices(*phase)
+        grid(xq, k)[dst] = x.data[src]
+    (k, r, wij), rest = taps[0], taps[1:]
+    acc = xq[k, r : r + n] @ wij
+    prod = np.empty_like(acc)
+    for k, r, wij in rest:
+        np.matmul(xq[k, r : r + n], wij, out=prod)
+        acc += prod
+    out = acc.reshape(Ho, Wq, Cout)[:, :Wo]
+    out_data = out + b.data if b is not None else np.ascontiguousarray(out)
     parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):
-        gmat = g.reshape(Ho * Wo, Cout)
         if b is not None and (b.requires_grad or b._parents):
-            b._accumulate(gmat.sum(axis=0))
-        if w.requires_grad or w._parents:
-            w._accumulate((cols.T @ gmat).reshape(w.shape))
-        if x.requires_grad or x._parents:
-            dcols = gmat @ wmat.T
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[i : i + Ho * stride : stride, j : j + Wo * stride : stride, :] += dcols[
-                        :, (i * kw + j) * Cin : (i * kw + j + 1) * Cin
-                    ].reshape(Ho, Wo, Cin)
-            if padding:
-                dxp = dxp[padding:-padding, padding:-padding, :]
-            x._accumulate(dxp)
+            b._accumulate(g.reshape(Ho * Wo, Cout).sum(axis=0))
+        need_w = w.requires_grad or w._parents
+        need_x = x.requires_grad or x._parents
+        if not (need_w or need_x):
+            return
+        gq = np.zeros((Ho, Wq, Cout), dtype=g.dtype)
+        gq[:, :Wo] = g
+        gq = gq.reshape(n, Cout)
+        if need_w:
+            w._accumulate(np.stack([xq[k, r : r + n].T @ gq for k, r, _ in taps])
+                          .reshape(w.shape))
+        if need_x:
+            dxq = np.zeros_like(xq)
+            prod = np.empty((n, Cin), dtype=np.result_type(gq, w.data))
+            for k, r, wij in taps:
+                np.matmul(gq, wij.T, out=prod)
+                dxq[k, r : r + n] += prod
+            dx = np.zeros_like(x.data)
+            for k, phase in enumerate(phases):
+                src, dst = image_slices(*phase)
+                dx[src] = grid(dxq, k)[dst]
+            x._accumulate(dx)
 
     return _make(out_data, "conv2d", parents, bw)
 

@@ -31,16 +31,24 @@ class TrainState:
     def train_step(self, partial, image, gt, mode: str = "standard") -> float:
         self.model.train()
         self.opt.zero_grad()
-        out = self.model(partial, image)
-        loss = self.model.loss(out, gt, mode=mode)
-        loss.backward()
-        value = float(loss.data)
-        # both checks come before the update, so a failure changes no state
-        if not np.isfinite(value):
-            raise FloatingPointError(f"non-finite loss at step {self.step}")
-        for name, p in self.named.items():
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                raise FloatingPointError(f"non-finite gradient of '{name}' at step {self.step}")
+        # the forward moves the BatchNorm running buffers; a failed step puts
+        # them back, and both checks come before the update, so it changes no state
+        buffers = [(buf, buf.copy()) for _, buf in self.model.named_buffers()]
+        try:
+            out = self.model(partial, image)
+            loss = self.model.loss(out, gt, mode=mode)
+            loss.backward()
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise FloatingPointError(f"non-finite loss at step {self.step}")
+            for name, p in self.named.items():
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise FloatingPointError(
+                        f"non-finite gradient of '{name}' at step {self.step}")
+        except BaseException:
+            for buf, saved in buffers:
+                np.copyto(buf, saved)
+            raise
         self.opt.lr = self._current_lr()
         self.opt.step()
         self.step += 1
@@ -49,7 +57,7 @@ class TrainState:
     # -- checkpointing ---------------------------------------------------------
 
     def save(self, path) -> None:
-        entries: dict[str, T.Tensor] = dict(self.named)
+        entries = self.model.state_dict()
         for (name, _), m, v in zip(self.named.items(), self.opt.m, self.opt.v):
             entries[f"opt.m.{name}"] = T.tensor(m)
             entries[f"opt.v.{name}"] = T.tensor(v)
@@ -61,10 +69,12 @@ class TrainState:
         self.restore(T.load_checkpoint(path))
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        """Set model, optimizer and step from checkpoint arrays.
+        """Set model (parameters and buffers), optimizer and step from
+        checkpoint arrays.
 
         Every entry is checked before any state changes: a missing parameter
-        raises KeyError, a mis-shaped parameter or optimizer moment ValueError.
+        raises KeyError, a mis-shaped parameter, buffer or optimizer moment
+        ValueError.
         """
         for name, p in self.named.items():
             moments = [k for k in (f"opt.m.{name}", f"opt.v.{name}") if k in arrays]
@@ -74,9 +84,8 @@ class TrainState:
                 if arrays[key].shape != p.shape:
                     raise ValueError(f"shape mismatch for '{key}': "
                                      f"checkpoint {arrays[key].shape} vs model {p.shape}")
-        # load_state_dict checks every parameter before it sets any
-        self.model.load_state_dict({k: v for k, v in arrays.items()
-                                    if not k.startswith(("opt.", "meta."))})
+        # load_state_dict checks every parameter and buffer before it sets any
+        self.model.load_state_dict(arrays)
         for i, name in enumerate(self.named):
             if f"opt.m.{name}" in arrays:
                 self.opt.m[i] = arrays[f"opt.m.{name}"].astype(self.params[i].data.dtype).copy()

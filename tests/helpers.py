@@ -134,6 +134,50 @@ def chamfer_dense_oracle(a: T.Tensor, b: T.Tensor):
     return loss, idx_ab, idx_ba
 
 
+def conv2d_im2col_oracle(x: T.Tensor, w: T.Tensor, b: T.Tensor | None, stride: int = 1,
+                         padding: int = 0) -> T.Tensor:
+    """The former ``tensor.conv2d``: an (Ho*Wo, kh*kw*Cin) im2col matrix, one
+    GEMM, and col2im in backward."""
+    H, W, Cin = x.shape
+    kh, kw, wcin, Cout = w.shape
+    if wcin != Cin:
+        raise T.DimensionError(f"conv2d channel mismatch: input {x.shape}, weight {w.shape}")
+    xp = np.pad(x.data, ((padding, padding), (padding, padding), (0, 0)))
+    Ho = (H + 2 * padding - kh) // stride + 1
+    Wo = (W + 2 * padding - kw) // stride + 1
+    cols = np.empty((Ho * Wo, kh * kw * Cin), dtype=x.data.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            patch = xp[i : i + Ho * stride : stride, j : j + Wo * stride : stride, :]
+            cols[:, (i * kw + j) * Cin : (i * kw + j + 1) * Cin] = patch.reshape(Ho * Wo, Cin)
+    wmat = w.data.reshape(kh * kw * Cin, Cout)
+    out_data = cols @ wmat
+    if b is not None:
+        out_data = out_data + b.data
+    out_data = out_data.reshape(Ho, Wo, Cout)
+    parents = (x, w) if b is None else (x, w, b)
+
+    def bw(g):
+        gmat = g.reshape(Ho * Wo, Cout)
+        if b is not None and (b.requires_grad or b._parents):
+            b._accumulate(gmat.sum(axis=0))
+        if w.requires_grad or w._parents:
+            w._accumulate((cols.T @ gmat).reshape(w.shape))
+        if x.requires_grad or x._parents:
+            dcols = gmat @ wmat.T
+            dxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    dxp[i : i + Ho * stride : stride, j : j + Wo * stride : stride, :] += dcols[
+                        :, (i * kw + j) * Cin : (i * kw + j + 1) * Cin
+                    ].reshape(Ho, Wo, Cin)
+            if padding:
+                dxp = dxp[padding:-padding, padding:-padding, :]
+            x._accumulate(dxp)
+
+    return T._make(out_data, "conv2d", parents, bw)
+
+
 # -- synthesis oracles ---------------------------------------------------------
 
 

@@ -466,6 +466,35 @@ def test_network_attention_row_stochastic_everywhere():
             np.testing.assert_allclose(w.sum(axis=1), np.ones(w.shape[0]), atol=1e-6)
 
 
+def test_backward_frees_every_intermediate_gradient():
+    """After backward only the root and the leaves hold a gradient."""
+    model = DuInNet(mini_config(), seed=6)
+    rng = np.random.default_rng(17)
+    out = model(rng.standard_normal((100, 3)) * 0.3, rng.random((32, 32, 3)))
+    loss = model.loss(out, rng.standard_normal((256, 3)) * 0.3)
+    tape = loss.backward()
+    assert loss.grad is not None
+    inner = [node for node in tape.entries if node._parents and node is not loss]
+    leaves = [node for node in tape.entries if node.requires_grad and not node._parents]
+    assert len(inner) > 100 and len(leaves) == len(model.parameters())
+    assert all(node.grad is None for node in inner)
+    assert all(node.grad is not None for node in leaves)
+
+
+def test_no_grad_eval_forward_records_no_graph():
+    model = DuInNet(mini_config(), seed=7).eval()
+    rng = np.random.default_rng(18)
+    partial, image = rng.standard_normal((100, 3)) * 0.3, rng.random((32, 32, 3))
+    with T.no_grad():
+        quiet = model(partial, image)
+    loud = model(partial, image)
+    for key, t in quiet.items():
+        if isinstance(t, T.Tensor):
+            assert t._parents == () and t._backward is None and not t.requires_grad, key
+            assert np.array_equal(t.data, loud[key].data), key
+    assert loud["p_gen2"]._parents and loud["p_gen2"].requires_grad
+
+
 def test_network_state_dict_checkpoint_roundtrip(tmp_path):
     model = DuInNet(mini_config(), seed=2)
     path = tmp_path / "model.ckpt"

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+
+from helpers import conv2d_im2col_oracle
 
 from duinnet import tensor as T
 from duinnet.gradcheck import check_fn
@@ -264,6 +267,66 @@ def test_conv2d_gradient():
                         rng.standard_normal((3, 3, 2, 3)),
                         rng.standard_normal(3)])
     assert err < 1e-4
+
+
+def _conv_value_and_grads(conv, xd, wd, bd, stride, padding, upstream_seed):
+    x, w = T.tensor(xd, requires_grad=True), T.tensor(wd, requires_grad=True)
+    b = None if bd is None else T.tensor(bd, requires_grad=True)
+    out = conv(x, w, b, stride=stride, padding=padding)
+    upstream = np.random.default_rng(upstream_seed).standard_normal(out.shape)
+    T.reduce_sum(T.mul(out, T.tensor(upstream))).backward()
+    return [out.data, x.grad, w.grad] + ([] if b is None else [b.grad])
+
+
+@settings(max_examples=120, deadline=None)
+@given(h=st.integers(1, 7), w=st.integers(1, 7), cin=st.integers(1, 5),
+       cout=st.integers(1, 4), k=st.sampled_from([1, 3]), stride=st.sampled_from([1, 2]),
+       padding=st.sampled_from([0, 1]), bias=st.booleans(), seed=st.integers(0, 2**31))
+@example(h=1, w=1, cin=2, cout=3, k=3, stride=2, padding=1, bias=False, seed=0)
+@example(h=1, w=1, cin=1, cout=1, k=1, stride=1, padding=0, bias=True, seed=0)
+@example(h=6, w=5, cin=5, cout=2, k=3, stride=2, padding=1, bias=True, seed=1)
+def test_conv2d_matches_im2col_oracle(h, w, cin, cout, k, stride, padding, bias, seed):
+    """Shifted-GEMM conv2d against the im2col body: value and all gradients."""
+    assume(h + 2 * padding >= k and w + 2 * padding >= k)
+    rng = np.random.default_rng(seed)
+    xd, wd = rng.standard_normal((h, w, cin)), rng.standard_normal((k, k, cin, cout))
+    bd = rng.standard_normal(cout) if bias else None
+    got = _conv_value_and_grads(T.conv2d, xd, wd, bd, stride, padding, seed + 1)
+    want = _conv_value_and_grads(conv2d_im2col_oracle, xd, wd, bd, stride, padding, seed + 1)
+    for name, g, o in zip(("out", "dx", "dw", "db"), got, want):
+        assert g.shape == o.shape, name
+        assert np.abs(g - o).max() <= 1e-10 * max(np.abs(o).max(), 1e-300), name
+
+
+def test_conv2d_forward_retains_under_four_times_its_input():
+    """Output plus backward closure of a 3x3, padding-1, 16 -> 16 channel
+    convolution stay under 4x the input's bytes (an im2col matrix alone is 9x)."""
+    rng = np.random.default_rng(13)
+    x = T.tensor(rng.standard_normal((64, 64, 16)).astype(np.float32), requires_grad=True)
+    w = T.tensor(rng.standard_normal((3, 3, 16, 16)).astype(np.float32), requires_grad=True)
+    b = T.tensor(np.zeros(16, dtype=np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = T.conv2d(x, w, b, stride=1, padding=1)
+        retained = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    assert retained < 4 * x.data.nbytes, retained / x.data.nbytes
+
+
+def test_no_grad_nests_and_restores_after_an_error():
+    a = T.tensor(np.ones(2), requires_grad=True)
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            out = T.add(a, a)
+            assert not out._parents and out._backward is None and not out.requires_grad
+            raise RuntimeError
+    out = T.add(a, a)
+    assert out._parents == (a, a) and out.requires_grad
 
 
 def test_random_op_compositions():

@@ -19,16 +19,24 @@ def shapes():
     return overfit_shapes()
 
 
+def _buffers(model):
+    return [buf for _, buf in model.named_buffers()]
+
+
 def _snapshot(state):
     return ([p.data.copy() for p in state.params], [m.copy() for m in state.opt.m],
-            [v.copy() for v in state.opt.v], state.step, state.opt.t)
+            [v.copy() for v in state.opt.v], [b.copy() for b in _buffers(state.model)],
+            state.step, state.opt.t)
 
 
 def _assert_unchanged(state, before):
-    params, m, v, step, t = before
+    params, m, v, buffers, step, t = before
     assert (state.step, state.opt.t) == (step, t)
-    for old, new in ((params, [p.data for p in state.params]), (m, state.opt.m), (v, state.opt.v)):
-        assert all(np.array_equal(a, b) for a, b in zip(old, new))
+    for old, new in ((params, [p.data for p in state.params]), (m, state.opt.m),
+                     (v, state.opt.v), (buffers, _buffers(state.model))):
+        assert len(old) == len(new)
+        # equal_nan: a test may plant NaN in a parameter before the snapshot
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(old, new))
 
 
 def test_train_step_returns_finite_scalar(shapes):
@@ -64,6 +72,16 @@ def test_train_loop_raises_on_nonfinite_loss(shapes):
     state.named["apg.pc_blocks.0.linear2.weight"].data[...] = np.nan
     with pytest.raises(FloatingPointError):
         train_loop(state, shapes[:1], 1)
+
+
+def test_nan_weight_step_leaves_state_unchanged(shapes):
+    state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(state, shapes[:2], 2)
+    state.named["apg.pc_blocks.0.linear2.weight"].data[...] = np.nan
+    before = _snapshot(state)
+    with pytest.raises(FloatingPointError):
+        state.train_step(*shapes[0])
+    _assert_unchanged(state, before)
 
 
 def test_nonfinite_loss_leaves_state_unchanged(shapes):
@@ -128,6 +146,54 @@ def test_restore_rejects_misshaped_entry_before_any_change(tmp_path, shapes, pre
     with pytest.raises(ValueError, match=re.escape(f"'{key}'")):
         target.restore(arrays)
     _assert_unchanged(target, before)
+
+
+def test_restore_rejects_misshaped_buffer_before_any_change(tmp_path, shapes):
+    source = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(source, shapes[:1], 1)
+    source.save(tmp_path / "a.ckpt")
+    arrays = T.load_checkpoint(tmp_path / "a.ckpt")
+    target = TrainState(DuInNet(mini_config(), seed=1), lr=1e-3)
+    key = "buf." + [name for name, _ in target.model.named_buffers()][-1]
+    arrays[key] = np.zeros(3, dtype=np.float32)
+    before = _snapshot(target)
+    with pytest.raises(ValueError, match=re.escape(f"'{key}'")):
+        target.restore(arrays)
+    _assert_unchanged(target, before)
+
+
+def _eval_outputs(model, shapes):
+    model.eval()
+    with T.no_grad():
+        return [model(partial, image)["p_gen2"].data for partial, image, _ in shapes[:3]]
+
+
+def test_checkpoint_carries_batchnorm_buffers(tmp_path, shapes):
+    trained = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(trained, shapes[:4], 20)
+    trained.save(tmp_path / "a.ckpt")
+    arrays = T.load_checkpoint(tmp_path / "a.ckpt")
+    names = [name for name, _ in trained.model.named_buffers()]
+    assert names and all(f"buf.{name}" in arrays for name in names)
+
+    fresh = DuInNet(mini_config(), seed=1)
+    fresh.load_state_dict(arrays)  # the loader `duinnet eval --checkpoint` uses
+    for got, want in zip(_eval_outputs(fresh, shapes), _eval_outputs(trained.model, shapes)):
+        assert np.array_equal(got, want)
+
+
+def test_checkpoint_without_buffers_loads_with_initial_statistics(tmp_path, shapes):
+    trained = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(trained, shapes[:2], 2)
+    trained.save(tmp_path / "a.ckpt")
+    arrays = {k: v for k, v in T.load_checkpoint(tmp_path / "a.ckpt").items()
+              if not k.startswith("buf.")}
+    resumed = TrainState(DuInNet(mini_config(), seed=1), lr=1e-3)
+    resumed.restore(arrays)
+    assert resumed.step == 2
+    for name, buf in resumed.model.named_buffers():
+        assert np.array_equal(buf, np.zeros_like(buf) if name.endswith("mean")
+                              else np.ones_like(buf)), name
 
 
 def test_restore_rejects_moment_without_its_pair(tmp_path, shapes):
