@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -259,13 +260,20 @@ def save_raster(path, image: np.ndarray) -> None:
 
 
 def load_raster(path) -> np.ndarray:
+    """Read a raster as a (side, side, 3) float image in [0, 1]; a bad magic
+    or a file too short for its side raises ValueError naming ``path``."""
+    size = os.path.getsize(path)
     with open(path, "rb") as f:
+        def read(n: int) -> bytes:
+            if f.tell() + n > size:
+                raise ValueError(f"{path}: truncated raster ({size} bytes)")
+            return f.read(n)
+
         if f.read(len(_RASTER_MAGIC)) != _RASTER_MAGIC:
             raise ValueError(f"{path}: not a raster file")
-        (side,) = struct.unpack("<I", f.read(4))
-        planes = [np.frombuffer(f.read(side * side), dtype=np.uint8).reshape(side, side)
-                  for _ in range(3)]
-    return (np.stack(planes, axis=2).astype(np.float32)) / 255.0
+        (side,) = struct.unpack("<I", read(4))
+        planes = np.frombuffer(read(3 * side * side), dtype=np.uint8).reshape(3, side, side)
+    return np.stack(planes, axis=2).astype(np.float32) / 255.0
 
 
 # -- per-model synthesis ----------------------------------------------------------

@@ -25,13 +25,13 @@ class SharedMLP(Module):
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.l1 = Linear(in_dim, out_dim, rng)
-        self.bn1 = BatchNorm1d(out_dim)
+        self.bn1 = BatchNorm1d(out_dim, relu=True)
         self.l2 = Linear(out_dim, out_dim, rng)
-        self.bn2 = BatchNorm1d(out_dim)
+        self.bn2 = BatchNorm1d(out_dim, relu=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = T.relu(self.bn1(self.l1(x)))
-        return T.relu(self.bn2(self.l2(x)))
+        x = self.bn1(self.l1(x))
+        return self.bn2(self.l2(x))
 
 
 class SetAbstraction(Module):
@@ -122,7 +122,7 @@ class PointEncoder(Module):
 class ResidualBlock(Module):
     def __init__(self, in_ch: int, out_ch: int, stride: int, rng: np.random.Generator):
         self.conv1 = Conv2d(in_ch, out_ch, 3, rng, stride=stride, padding=1)
-        self.bn1 = BatchNorm1d(out_ch)
+        self.bn1 = BatchNorm1d(out_ch, relu=True)
         self.conv2 = Conv2d(out_ch, out_ch, 3, rng, stride=1, padding=1)
         self.bn2 = BatchNorm1d(out_ch)
         if stride != 1 or in_ch != out_ch:
@@ -138,7 +138,7 @@ class ResidualBlock(Module):
         return T.reshape(bn(T.reshape(x, (h * w, c))), (h, w, c))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.relu(self._bn(self.bn1, self.conv1(x)))
+        y = self._bn(self.bn1, self.conv1(x))
         y = self._bn(self.bn2, self.conv2(y))
         s = x if self.skip is None else self._bn(self.skip_bn, self.skip(x))
         return T.relu(T.add(y, s))
@@ -152,7 +152,7 @@ class ImageEncoder(Module):
         c0 = max(cfg.C // 8, 4)
         chans = [c0, max(cfg.C // 4, 4), max(cfg.C // 2, 4), cfg.C]
         self.stem = Conv2d(3, c0, 3, rng, stride=1, padding=1)
-        self.stem_bn = BatchNorm1d(c0)
+        self.stem_bn = BatchNorm1d(c0, relu=True)
         stages = []
         in_ch = c0
         for ch in chans:
@@ -167,7 +167,7 @@ class ImageEncoder(Module):
             image = T.tensor(np.asarray(image, dtype=T.default_dtype()))
         if image.shape[:2] != (self.side, self.side) or image.shape[2] != 3:
             raise ValueError(f"expected {self.side}x{self.side}x3 image, got {image.shape}")
-        x = T.relu(ResidualBlock._bn(self.stem_bn, self.stem(image)))
+        x = ResidualBlock._bn(self.stem_bn, self.stem(image))
         for block in self.stages:
             x = block(x)
         h, w, c = x.shape

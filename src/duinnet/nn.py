@@ -141,21 +141,26 @@ class LayerNorm(Module):
 
 
 class BatchNorm1d(Module):
+    """Batch normalization of (n, dim) rows; with ``relu`` it is followed by
+    ReLU in the same tape node."""
+
     buffer_names = ("running_mean", "running_var")
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5,
+                 relu: bool = False):
         self.gain = Tensor(np.ones(dim, dtype=T.default_dtype()), requires_grad=True)
         self.bias = Tensor(np.zeros(dim, dtype=T.default_dtype()), requires_grad=True)
         self.running_mean = np.zeros(dim, dtype=T.default_dtype())
         self.running_var = np.ones(dim, dtype=T.default_dtype())
         self.momentum = momentum
         self.eps = eps
+        self.relu = relu
         self.training = True
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.batch_norm_1d(
             x, self.gain, self.bias, self.running_mean, self.running_var,
-            self.training, self.momentum, self.eps,
+            self.training, self.momentum, self.eps, self.relu,
         )
 
 
@@ -178,10 +183,10 @@ class LBR(Module):
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.linear = Linear(in_dim, out_dim, rng)
-        self.bn = BatchNorm1d(out_dim)
+        self.bn = BatchNorm1d(out_dim, relu=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.relu(self.bn(self.linear(x)))
+        return self.bn(self.linear(x))
 
 
 class Adam:

@@ -14,11 +14,13 @@ Two precisions are supported: float32 (training default) and float64
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 _DEFAULT_DTYPE = np.float32
 
@@ -223,12 +225,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    """``max(a, 0)``; NaN and -0.0 map to +0.0, as ``np.where(a > 0, a, 0)`` does."""
+    out_data = np.fmax(a.data, 0)
 
     def bw(g):
-        a._accumulate(g * mask)
+        a._accumulate(g * (out_data > 0))
 
-    return _make(np.where(mask, a.data, 0), "relu", (a,), bw)
+    return _make(out_data, "relu", (a,), bw)
 
 
 def sqrt_safe(a: Tensor, eps: float = 1e-12) -> Tensor:
@@ -303,9 +306,19 @@ def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
         raise IndexError(f"gather index out of range for axis {axis} of size {a.shape[axis]}")
 
     def bw(g):
-        acc = np.zeros_like(a.data)
-        np.add.at(acc, tuple([slice(None)] * axis + [idx]), g)
-        a._accumulate(acc)
+        # scatter-add as one (n, m) 0/1 CSR product; its columns are sorted by a
+        # stable argsort, so each row sums its picks in position order from
+        # zero, exactly as np.add.at does
+        n, m = a.shape[axis], idx.size
+        pre, post = a.shape[:axis], a.shape[axis + 1:]
+        gm = np.moveaxis(g.reshape(pre + (m,) + post), axis, 0).reshape(m, math.prod(pre + post))
+        flat = idx.reshape(-1)
+        # the narrowest key type: a stable sort of 8- or 16-bit keys is a radix sort
+        cols = np.argsort(flat.astype(np.min_scalar_type(n)), kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat, minlength=n), out=indptr[1:])
+        scatter = sparse.csr_array((np.ones(m, dtype=g.dtype), cols, indptr), shape=(n, m))
+        a._accumulate(np.moveaxis((scatter @ gm).reshape((n,) + pre + post), 0, axis))
 
     return _make(np.take(a.data, idx, axis=axis), "gather", (a,), bw)
 
@@ -342,11 +355,8 @@ def _reduce_select(a: Tensor, axis: int, argfn, valfn, name: str):
     out_data = valfn(a.data, axis=axis)
 
     def bw(g):
-        acc = np.zeros_like(a.data)
-        grid = np.indices(idx.shape)
-        sl = list(grid)
-        sl.insert(axis, idx)
-        np.add.at(acc, tuple(sl), g)
+        acc = np.zeros_like(a.data)  # each output picked exactly one element
+        np.put_along_axis(acc, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
         a._accumulate(acc)
 
     return _make(out_data, name, (a,), bw), idx
@@ -416,11 +426,18 @@ def batch_norm_1d(
     training: bool,
     momentum: float = 0.1,
     eps: float = 1e-5,
+    relu: bool = False,
 ) -> Tensor:
-    """Batch normalization over axis 0 of an (n, c) tensor.
+    """Batch normalization over axis 0 of an (n, c) tensor, optionally
+    followed by ReLU in the same node.
 
     In training mode normalizes by batch statistics and updates the running
     buffers in place; in eval mode uses the running buffers as constants.
+    With ``relu`` the output is bit-identical to
+    ``relu(batch_norm_1d(...))``, without a second node or its mask. Backward
+    recomputes the normalized input from ``x`` (Chen et al. 2016,
+    arXiv:1604.06174), so the node keeps only (c,) statistics besides its
+    input and output.
     """
     gain, bias = _as_tensor(gain), _as_tensor(bias)
     if training:
@@ -432,26 +449,46 @@ def batch_norm_1d(
         running_var *= 1.0 - momentum
         running_var += momentum * (var * n / max(n - 1, 1))
     else:
-        mu = running_mean
+        mu = running_mean.copy()  # a later train-mode forward moves the buffer
         var = running_var
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = xhat * gain.data + bias.data
+    xd = x.data
+
+    def normalized(*wider) -> np.ndarray:
+        """``(x - mu) * inv``, then cast up to the dtype a product with
+        ``wider`` would have, so in-place arithmetic rounds as that product."""
+        xhat = xd - mu
+        xhat *= inv
+        return xhat.astype(np.result_type(xhat, *wider), copy=False)
+
+    out_data = normalized(gain.data, bias.data)
+    out_data *= gain.data
+    out_data += bias.data
+    if relu:
+        np.fmax(out_data, 0, out=out_data)
 
     def bw(g):
-        if gain.requires_grad or gain._parents:
-            gain._accumulate((g * xhat).sum(axis=0))
+        if relu:
+            g = g * (out_data > 0)
+        need_gain = gain.requires_grad or gain._parents
+        need_x = x.requires_grad or x._parents
+        if need_gain or (need_x and training):
+            xhat = normalized(g)
+            prod = g * xhat
+        if need_gain:
+            gain._accumulate(prod.sum(axis=0))
         if bias.requires_grad or bias._parents:
             bias._accumulate(g.sum(axis=0))
-        if x.requires_grad or x._parents:
-            gx = g * gain.data
-            if training:
-                n = x.shape[0]
+        if need_x:
+            # the masked g is this closure's own: scale it in place
+            gx = np.multiply(g, gain.data, out=g if relu else None)
+            if training:  # inv * (gx - mean(gx) - xhat * mean(gx * xhat))
                 t1 = gx.mean(axis=0)
-                t2 = (gx * xhat).mean(axis=0)
-                x._accumulate(inv * (gx - t1 - xhat * t2))
-            else:
-                x._accumulate(gx * inv)
+                xhat *= np.multiply(gx, xhat, out=prod).mean(axis=0)
+                gx -= t1
+                gx -= xhat
+            gx *= inv
+            x._accumulate(gx)
 
     return _make(out_data, "batch_norm_1d", (x, gain, bias), bw)
 
@@ -600,7 +637,7 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             name = read(nlen).decode("utf-8")
             (ndim,) = struct.unpack("<B", read(1))
             shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
-            n = int(np.prod(shape)) if shape else 1
+            n = math.prod(shape)  # exact: a wrapped product could pass the size check
             data = np.frombuffer(read(4 * n), dtype="<f4").reshape(shape)
             out[name] = data.astype(np.float32)
     return out

@@ -178,6 +178,73 @@ def conv2d_im2col_oracle(x: T.Tensor, w: T.Tensor, b: T.Tensor | None, stride: i
     return T._make(out_data, "conv2d", parents, bw)
 
 
+def gather_add_at_oracle(a: T.Tensor, indices, axis: int = 0) -> T.Tensor:
+    """The former ``tensor.gather``: backward scatters with ``np.add.at``."""
+    idx = np.asarray(indices, dtype=np.int64)
+
+    def bw(g):
+        acc = np.zeros_like(a.data)
+        np.add.at(acc, tuple([slice(None)] * axis + [idx]), g)
+        a._accumulate(acc)
+
+    return T._make(np.take(a.data, idx, axis=axis), "gather", (a,), bw)
+
+
+def reduce_select_add_at_oracle(a: T.Tensor, axis: int, argfn, valfn):
+    """The former ``tensor._reduce_select`` (``reduce_max`` with ``np.argmax``
+    and ``np.max``): backward scatters with ``np.add.at`` over an index grid."""
+    idx = argfn(a.data, axis=axis)
+    out_data = valfn(a.data, axis=axis)
+
+    def bw(g):
+        acc = np.zeros_like(a.data)
+        grid = np.indices(idx.shape)
+        sl = list(grid)
+        sl.insert(axis, idx)
+        np.add.at(acc, tuple(sl), g)
+        a._accumulate(acc)
+
+    return T._make(out_data, "reduce_select", (a,), bw), idx
+
+
+def batch_norm_1d_stored_oracle(x: T.Tensor, gain: T.Tensor, bias: T.Tensor,
+                                running_mean: np.ndarray, running_var: np.ndarray,
+                                training: bool, momentum: float = 0.1,
+                                eps: float = 1e-5) -> T.Tensor:
+    """The former ``tensor.batch_norm_1d``: out-of-place arithmetic, and the
+    closure keeps the normalized input ``xhat``."""
+    if training:
+        mu = x.data.mean(axis=0)
+        var = x.data.var(axis=0)
+        n = x.shape[0]
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mu
+        running_var *= 1.0 - momentum
+        running_var += momentum * (var * n / max(n - 1, 1))
+    else:
+        mu = running_mean
+        var = running_var
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv
+    out_data = xhat * gain.data + bias.data
+
+    def bw(g):
+        if gain.requires_grad or gain._parents:
+            gain._accumulate((g * xhat).sum(axis=0))
+        if bias.requires_grad or bias._parents:
+            bias._accumulate(g.sum(axis=0))
+        if x.requires_grad or x._parents:
+            gx = g * gain.data
+            if training:
+                t1 = gx.mean(axis=0)
+                t2 = (gx * xhat).mean(axis=0)
+                x._accumulate(inv * (gx - t1 - xhat * t2))
+            else:
+                x._accumulate(gx * inv)
+
+    return T._make(out_data, "batch_norm_1d", (x, gain, bias), bw)
+
+
 # -- synthesis oracles ---------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import filecmp
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,21 @@ def test_train_unknown_task(cli_workspace):
 def test_train_missing_manifest(tmp_path):
     assert main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "run"),
                  "--steps", "1"]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("keep", [9, -3], ids=["side", "planes"])
+def test_train_truncated_raster_exits_data(cli_workspace, tmp_path, capsys, keep):
+    _, _, data = cli_workspace
+    cut = tmp_path / "data"
+    shutil.copytree(data, cut)
+    for raster in cut.rglob("*.raster"):
+        raster.write_bytes(raster.read_bytes()[:keep])
+    capsys.readouterr()
+    assert main(["train", "--data", str(cut), "--out", str(tmp_path / "run"),
+                 "--profile", "mini", "--steps", "1", "--limit", "2"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ".raster" in err and "truncated" in err
+    assert "Traceback" not in err
 
 
 # -- eval --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,39 @@ def test_raster_roundtrip(tmp_path):
 def test_raster_rejects_bad_shape(tmp_path):
     with pytest.raises(ValueError):
         save_raster(tmp_path / "x.raster", np.zeros((8, 9, 3)))
+
+
+@pytest.mark.parametrize("blob", [
+    b"PCIMG1\n\x04\x00",                              # side field cut short
+    b"PCIMG1\n" + struct.pack("<I", 4) + bytes(47),     # planes one byte short
+    b"PCIMG1\n" + struct.pack("<I", 2**31) + bytes(8),  # side far beyond the file
+    b"PCIMG",                                          # magic cut short
+], ids=["side", "planes", "huge-side", "magic"])
+def test_load_raster_bad_file_raises_value_error_naming_path(tmp_path, blob):
+    path = tmp_path / "bad.raster"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match="bad.raster"):
+        load_raster(path)
+
+
+_RASTER_BLOBS = st.one_of(
+    st.binary(max_size=80),
+    st.builds(lambda side, body: b"PCIMG1\n" + struct.pack("<I", side) + body,
+              st.one_of(st.integers(0, 5), st.integers(0, 2**32 - 1)), st.binary(max_size=80)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=_RASTER_BLOBS)
+def test_load_raster_fuzz_raises_only_value_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.raster"
+    path.write_bytes(blob)
+    try:
+        img = load_raster(path)
+    except ValueError:
+        return
+    side = struct.unpack("<I", blob[7:11])[0]
+    assert img.shape == (side, side, 3) and img.dtype == np.float32
 
 
 # -- per-model synthesis ----------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import struct
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import conv2d_im2col_oracle
+from helpers import (batch_norm_1d_stored_oracle, conv2d_im2col_oracle, gather_add_at_oracle,
+                     reduce_select_add_at_oracle)
 
 from duinnet import tensor as T
 from duinnet.gradcheck import check_fn
@@ -116,8 +118,12 @@ def test_layer_norm_requires_positive_eps():
 
 
 def test_relu_values():
-    out = T.relu(T.tensor([-1.0, 0.0, 2.0]))
-    np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+    for dtype in (np.float32, np.float64):
+        a = np.array([-1.0, -0.0, 0.0, 2.0, np.nan, -np.inf, np.inf], dtype=dtype)
+        out = T.relu(T.tensor(a)).data
+        np.testing.assert_array_equal(out, [0.0, 0.0, 0.0, 2.0, 0.0, 0.0, np.inf])
+        assert out.dtype == dtype and not np.signbit(out).any()  # NaN, -0.0 become +0.0
+        assert out.tobytes() == np.where(a > 0, a, 0).tobytes()
 
 
 def test_gather_repeats_rows():
@@ -129,6 +135,55 @@ def test_gather_repeats_rows():
 def test_gather_out_of_range():
     with pytest.raises(IndexError):
         T.gather(T.tensor(np.zeros((3, 2))), [5], axis=0)
+
+
+_SHAPES = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
+
+
+def _value_and_grad(op, xd, seed):
+    """``op(x)``'s value and the gradient of a random weighted sum of it."""
+    x = T.tensor(xd, requires_grad=True)
+    out = op(x)
+    upstream = np.random.default_rng(seed).standard_normal(out.shape).astype(xd.dtype)
+    T.reduce_sum(T.mul(out, T.tensor(upstream))).backward()
+    return out.data, x.grad
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=_SHAPES, data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**31))
+@example(shape=(2, 3), data=None, dtype=np.float32, seed=0)  # axis 1, as per-head slicing
+def test_gather_matches_add_at_oracle(shape, data, dtype, seed):
+    """Duplicate and empty index lists, every axis: the CSR scatter of gather's
+    backward gives the same bits as np.add.at."""
+    if data is None:
+        axis, idx = 1, [2, 0, 2, 2]
+    else:
+        axis = data.draw(st.integers(0, len(shape) - 1))
+        idx = data.draw(st.lists(st.integers(0, shape[axis] - 1), max_size=9))
+    xd = np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+    got = _value_and_grad(lambda x: T.gather(x, idx, axis=axis), xd, seed + 1)
+    want = _value_and_grad(lambda x: gather_add_at_oracle(x, idx, axis=axis), xd, seed + 1)
+    for g, o in zip(got, want):
+        assert g.dtype == o.dtype and np.array_equal(g, o)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=_SHAPES, data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+       op=st.sampled_from(["max", "min"]), seed=st.integers(0, 2**31))
+def test_reduce_select_matches_add_at_oracle(shape, data, dtype, op, seed):
+    """Values from {-1, 0, 1} force ties: values, picks and gradient match the
+    np.add.at body bit for bit."""
+    axis = data.draw(st.integers(0, len(shape) - 1))
+    xd = np.random.default_rng(seed).integers(-1, 2, shape).astype(dtype)
+    fns = {"max": (T.reduce_max, np.argmax, np.max), "min": (T.reduce_min, np.argmin, np.min)}
+    fn, argfn, valfn = fns[op]
+    got = _value_and_grad(lambda x: fn(x, axis=axis)[0], xd, seed + 1)
+    want = _value_and_grad(
+        lambda x: reduce_select_add_at_oracle(x, axis, argfn, valfn)[0], xd, seed + 1)
+    np.testing.assert_array_equal(fn(T.tensor(xd), axis=axis)[1], argfn(xd, axis=axis))
+    for g, o in zip(got, want):
+        assert g.dtype == o.dtype and np.array_equal(g, o)
 
 
 def test_reduce_min_max_lowest_index_ties():
@@ -243,17 +298,128 @@ def test_layer_norm_gradient():
     assert err < 1e-4
 
 
-def test_batch_norm_gradient_train_mode():
+def _batch_norm_gradient_error(training: bool, relu: bool) -> float:
     rng = np.random.default_rng(8)
+    mean, var = rng.standard_normal(4), rng.uniform(0.5, 2.0, 4)
 
     def fn(x, g, b):
-        rm, rv = np.zeros(4), np.ones(4)
+        rm, rv = mean.copy(), var.copy()
         return T.reduce_sum(T.mul(
-            T.batch_norm_1d(x, g, b, rm, rv, training=True), x))
+            T.batch_norm_1d(x, g, b, rm, rv, training=training, relu=relu), x))
 
-    err = check_fn(fn, [rng.standard_normal((6, 4)), rng.standard_normal(4),
-                        rng.standard_normal(4)])
-    assert err < 1e-4
+    return check_fn(fn, [rng.standard_normal((6, 4)), rng.standard_normal(4),
+                         rng.standard_normal(4)])
+
+
+def test_batch_norm_gradient_train_mode():
+    assert _batch_norm_gradient_error(training=True, relu=False) < 1e-4
+    assert _batch_norm_gradient_error(training=True, relu=True) < 1e-4
+
+
+def test_batch_norm_gradient_eval_mode():
+    assert _batch_norm_gradient_error(training=False, relu=False) < 1e-4
+    assert _batch_norm_gradient_error(training=False, relu=True) < 1e-4
+
+
+_BN_VARIANTS = {
+    "fused": lambda *a: T.batch_norm_1d(*a, relu=True),
+    "unfused": lambda *a: T.relu(T.batch_norm_1d(*a)),
+    "oracle": lambda *a: T.relu(batch_norm_1d_stored_oracle(*a)),
+    "bn": T.batch_norm_1d,
+    "bn_oracle": batch_norm_1d_stored_oracle,
+}
+
+
+def _bn_value_and_grads(variant, xd, gd, bd, rm, rv, training, upstream):
+    x, gain, bias = (T.tensor(a, requires_grad=True) for a in (xd, gd, bd))
+    out = _BN_VARIANTS[variant](x, gain, bias, rm, rv, training)
+    T.reduce_sum(T.mul(out, T.tensor(upstream))).backward()
+    return [out.data, x.grad, gain.grad, bias.grad, rm, rv]
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batch_norm_relu_matches_unfused(dtype, training):
+    """The fused node against relu(batch_norm_1d(...)) and against the former
+    stored-xhat body, with and without ReLU: output, the three gradients and
+    the running buffers are the same bits, with NaN inputs, a constant
+    channel and a zero bias (outputs exactly on the ReLU kink)."""
+    rng = np.random.default_rng(11)
+    xd = rng.standard_normal((40, 6)).astype(dtype)
+    xd[:, 1] = 0.5                    # constant channel: xhat is exactly 0
+    xd[3, 4] = np.nan                 # train: NaN channel; eval: one NaN row entry
+    xd[7, 2] = 0.0
+    gd = rng.standard_normal(6).astype(dtype)
+    bd = rng.standard_normal(6).astype(dtype)
+    bd[1] = 0.0                       # the constant channel's output is exactly 0
+    rm = rng.standard_normal(6).astype(dtype)
+    rm[2] = 0.0
+    rv = rng.uniform(0.5, 2.0, 6).astype(dtype)
+    upstream = rng.standard_normal((40, 6)).astype(dtype)
+    runs = {v: _bn_value_and_grads(v, xd, gd, bd, rm.copy(), rv.copy(), training, upstream)
+            for v in _BN_VARIANTS}
+    assert (runs["fused"][0] == 0).any() and np.isnan(runs["fused"][1]).any() == training
+    for a, b in [("fused", "unfused"), ("fused", "oracle"), ("bn", "bn_oracle")]:
+        for name, g, o in zip(("out", "dx", "dgain", "dbias", "running_mean", "running_var"),
+                              runs[a], runs[b]):
+            assert g.dtype == o.dtype and np.array_equal(g, o, equal_nan=True), (a, b, name)
+
+
+def test_batch_norm_relu_mixed_precision_matches_unfused():
+    """float32 input with float64 gain and bias: the fused node widens as the
+    former out-of-place products did."""
+    rng = np.random.default_rng(12)
+    xd = rng.standard_normal((16, 3)).astype(np.float32)
+    gd, bd = rng.standard_normal(3), rng.standard_normal(3)
+    upstream = rng.standard_normal((16, 3))
+    for training in (True, False):
+        stats = (np.zeros(3, np.float32), np.ones(3, np.float32))
+        got = _bn_value_and_grads("fused", xd, gd, bd, *map(np.copy, stats), training,
+                                  upstream)
+        want = _bn_value_and_grads("oracle", xd, gd, bd, *map(np.copy, stats), training,
+                                   upstream)
+        for g, o in zip(got, want):
+            assert g.dtype == o.dtype and np.array_equal(g, o)
+
+
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_batch_norm_relu_node_keeps_only_channel_statistics(training):
+    """Besides its input and output data, the fused node's backward closure
+    holds only (c,) arrays: no normalized input and no ReLU mask."""
+    rng = np.random.default_rng(13)
+    x = T.tensor(rng.standard_normal((64, 8)), requires_grad=True)
+    gain, bias = T.tensor(np.ones(8), requires_grad=True), T.tensor(np.zeros(8))
+    out = T.batch_norm_1d(x, gain, bias, np.zeros(8), np.ones(8), training, relu=True)
+    def closed_over(fn):
+        return [c.cell_contents for c in fn.__closure__ or ()]
+
+    top = closed_over(out._backward)  # and what the functions it calls hold
+    cells = top + [v for f in top if inspect.isfunction(f) for v in closed_over(f)]
+    kept = [c for c in cells if isinstance(c, np.ndarray)]
+    assert any(a is x.data for a in kept) and any(a is out.data for a in kept)
+    assert all(a.shape == (8,) for a in kept if a is not x.data and a is not out.data)
+
+
+def test_batch_norm_eval_node_ignores_later_buffer_updates():
+    """An eval-mode node's backward reads its own copy of the running mean, so
+    a train-mode forward between its forward and backward changes nothing."""
+    rng = np.random.default_rng(14)
+    xd, gd = rng.standard_normal((10, 4)), rng.standard_normal(4)
+    rm, rv = rng.standard_normal(4), rng.uniform(0.5, 2.0, 4)
+    grads = []
+    for moved in (False, True):
+        x, gain = T.tensor(xd, requires_grad=True), T.tensor(gd, requires_grad=True)
+        buffers = (rm.copy(), rv.copy())
+        out = T.batch_norm_1d(x, gain, T.tensor(np.zeros(4)), *buffers, training=False,
+                              relu=True)
+        if moved:
+            T.batch_norm_1d(T.tensor(xd + 5.0), gain, T.tensor(np.zeros(4)), *buffers,
+                            training=True)
+            assert not np.array_equal(buffers[0], rm)
+        T.reduce_sum(T.mul(out, out)).backward()
+        grads.append((x.grad, gain.grad))
+    for g, o in zip(*grads):
+        assert np.array_equal(g, o)
 
 
 def test_conv2d_gradient():
@@ -422,6 +588,26 @@ def test_checkpoint_truncated_raises_value_error(tmp_path, keep):
     path.write_bytes(path.read_bytes()[:keep])
     with pytest.raises(ValueError, match="truncated"):
         T.load_checkpoint(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blob=st.one_of(
+    st.binary(max_size=120),
+    st.binary(max_size=120).map(lambda b: b"DPCK\x01\n" + b),
+    # one entry with a well-formed name and header, arbitrary dims and values
+    st.builds(lambda dims, body: (b"DPCK\x01\n" + struct.pack("<IH", 1, 1) + b"w"
+                                  + struct.pack(f"<B{len(dims)}I", len(dims), *dims) + body),
+              st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1)), max_size=4),
+              st.binary(max_size=64)),
+))
+def test_load_checkpoint_fuzz_raises_only_value_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    path.write_bytes(blob)
+    try:
+        arrays = T.load_checkpoint(path)
+    except ValueError:
+        return
+    assert all(a.dtype == np.float32 for a in arrays.values())
 
 
 class _FailingEntry:
