@@ -1,8 +1,9 @@
 """Command-line orchestration: gen / train / eval / ablate / gradcheck.
 
 Option precedence is flag > DUINNET_* environment variable > config file >
-built-in default. Exit codes: 0 success, 2 config error, 3 data error,
-4 numeric failure.
+built-in default. Exit codes: 0 success, 2 config error (bad or missing
+option, config file or checkpoint layout), 3 data error (missing or malformed
+dataset file, mesh, raster or checkpoint), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import datasetgen, geometry, metrics, tensor as T
-from .datasetgen import GenConfig, Manifest
-from .gradcheck import check_fn, check_module_params
+from .datasetgen import ConfigError, GenConfig, Manifest
+from .gradcheck import gradient_suite
 from .model import DuInNet, make_config, mini_config
 from .model.config import ConfigError as ModelConfigError
 from .training import TrainState, train_loop
@@ -34,7 +35,10 @@ def _env(name: str):
     return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
 
 
-def _resolve(args, key: str, file_cfg: dict, default=None, cast=None):
+def _resolve(args, key: str, file_cfg: dict, default=None, cast=None, required=False):
+    """The first value set by flag, environment, config file or ``default``,
+    converted by ``cast``. A missing required value or a failed conversion
+    raises ``ConfigError`` naming the option."""
     val = getattr(args, key, None)
     if val is None:
         val = _env(key)
@@ -42,19 +46,28 @@ def _resolve(args, key: str, file_cfg: dict, default=None, cast=None):
         val = file_cfg.get(key)
     if val is None:
         val = default
-    if val is not None and cast is not None and not isinstance(val, cast if isinstance(cast, type) else object):
-        val = cast(val)
-    return val
+    option = "--" + key.replace("_", "-")
+    if val is None:
+        if required:
+            raise ConfigError(f"{option} is required")
+        return None
+    try:
+        return val if cast is None else cast(val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {option} {val!r}: {exc}") from exc
 
 
 def _load_file_cfg(args) -> dict:
     path = getattr(args, "config", None) or _env("config")
     if not path:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"config file not found: {p}")
-    return json.loads(p.read_text())
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path} is not a JSON object")
+    return cfg
 
 
 # -- gen -------------------------------------------------------------------------
@@ -72,22 +85,18 @@ def _collect_meshes(mesh_dir: Path) -> dict[tuple[str, str], Path]:
 
 def cmd_gen(args) -> int:
     file_cfg = _load_file_cfg(args)
-    mesh_dir = Path(_resolve(args, "mesh_dir", file_cfg))
-    out = Path(_resolve(args, "out", file_cfg, "dataset"))
+    mesh_dir = _resolve(args, "mesh_dir", file_cfg, cast=Path, required=True)
+    out = _resolve(args, "out", file_cfg, "dataset", cast=Path)
     cfg = GenConfig(
-        n_points=int(_resolve(args, "n_points", file_cfg, 2048)),
-        n_viewpoints=int(_resolve(args, "n_viewpoints", file_cfg, 32)),
-        image_side=int(_resolve(args, "image_side", file_cfg, 224)),
-        noise_sigma=float(_resolve(args, "noise_sigma", file_cfg, 0.01)),
-        seed=int(_resolve(args, "seed", file_cfg, 0)),
+        n_points=_resolve(args, "n_points", file_cfg, 2048, cast=int),
+        n_viewpoints=_resolve(args, "n_viewpoints", file_cfg, 32, cast=int),
+        image_side=_resolve(args, "image_side", file_cfg, 224, cast=int),
+        noise_sigma=_resolve(args, "noise_sigma", file_cfg, 0.01, cast=float),
+        seed=_resolve(args, "seed", file_cfg, 0, cast=int),
     )
-    if not mesh_dir.is_dir():
-        print(f"error: mesh directory {mesh_dir} does not exist", file=sys.stderr)
-        return EXIT_DATA
-    meshes = _collect_meshes(mesh_dir)
+    meshes = _collect_meshes(mesh_dir)  # a missing directory raises OSError: exit 3
     if not meshes:
-        print(f"error: no OFF/PLY meshes under {mesh_dir}", file=sys.stderr)
-        return EXIT_DATA
+        raise ValueError(f"no OFF/PLY meshes under {mesh_dir}")
     manifest, report = datasetgen.generate_dataset(meshes, cfg, out)
     datasetgen.make_splits(manifest)
     manifest.save(out / "manifest.json")
@@ -119,12 +128,20 @@ def _load_samples(root: Path, manifest: Manifest, task: str, part: str, seed: in
 
 def _build_model(args, file_cfg: dict) -> DuInNet:
     profile = _resolve(args, "profile", file_cfg, "mini")
-    overrides = {}
-    n_img = _resolve(args, "n_img_blocks", file_cfg)
-    if n_img is not None:
-        overrides["n_img_blocks"] = int(n_img)
-    cfg = make_config(profile, **overrides)
-    return DuInNet(cfg, seed=int(_resolve(args, "seed", file_cfg, 0)))
+    n_img = _resolve(args, "n_img_blocks", file_cfg, cast=int)
+    cfg = make_config(profile, **({} if n_img is None else {"n_img_blocks": n_img}))
+    return DuInNet(cfg, seed=_resolve(args, "seed", file_cfg, 0, cast=int))
+
+
+def _predict(model: DuInNet, samples) -> list[geometry.PointCloud]:
+    """Each sample's eval-mode ``p_gen2`` as a float64 cloud, recording no graph."""
+    model.eval()
+    preds = []
+    with T.no_grad():
+        for partial, image, _, rec in samples:
+            p_gen2 = model(partial.points, image)["p_gen2"].data
+            preds.append(geometry.PointCloud(p_gen2.astype(np.float64), category=rec.category))
+    return preds
 
 
 # -- train ---------------------------------------------------------------------------
@@ -132,48 +149,37 @@ def _build_model(args, file_cfg: dict) -> DuInNet:
 
 def cmd_train(args) -> int:
     file_cfg = _load_file_cfg(args)
-    root = Path(_resolve(args, "data", file_cfg))
-    out = Path(_resolve(args, "out", file_cfg, "run"))
+    root = _resolve(args, "data", file_cfg, cast=Path, required=True)
+    out = _resolve(args, "out", file_cfg, "run", cast=Path)
     task = _resolve(args, "task", file_cfg, "supervised")
-    seed = int(_resolve(args, "seed", file_cfg, 0))
-    steps = int(_resolve(args, "steps", file_cfg, 500))
-    lr = float(_resolve(args, "lr", file_cfg, 1e-4))
-    limit = _resolve(args, "limit", file_cfg)
+    seed = _resolve(args, "seed", file_cfg, 0, cast=int)
+    steps = _resolve(args, "steps", file_cfg, 500, cast=int)
+    lr = _resolve(args, "lr", file_cfg, 1e-4, cast=float)
+    limit = _resolve(args, "limit", file_cfg, cast=int)
     if task not in ("supervised", "denoising", "zeroshot"):
-        print(f"error: unknown task {task!r}", file=sys.stderr)
-        return EXIT_CONFIG
-    manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
-        print(f"error: no manifest at {manifest_path}", file=sys.stderr)
-        return EXIT_DATA
-    manifest = Manifest.load(manifest_path)
-    samples = _load_samples(root, manifest, task, "train", seed,
-                            int(limit) if limit else None)
+        raise ConfigError(f"unknown task {task!r}")
+    manifest = Manifest.load(root / "manifest.json")
+    samples = _load_samples(root, manifest, task, "train", seed, limit)
     if not samples:
-        print("error: empty training split", file=sys.stderr)
-        return EXIT_DATA
+        raise ValueError("empty training split")
     model = _build_model(args, file_cfg)
-    decay = tuple(int(s) for s in str(_resolve(args, "decay_steps", file_cfg, "")).split(",") if s)
+    decay = _resolve(args, "decay_steps", file_cfg, "",
+                     cast=lambda v: tuple(int(s) for s in str(v).split(",") if s))
     state = TrainState(model, lr=lr, decay_steps=decay)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "checkpoint.ckpt"
     resume = _resolve(args, "resume", file_cfg)
     if resume:
-        arrays = T.load_checkpoint(resume)  # unreadable: ValueError, exit 3 in main
+        arrays = T.load_checkpoint(resume)  # unreadable: ValueError, exit 3
         try:
             state.restore(arrays)
         except (KeyError, ValueError) as exc:
-            print(f"error: cannot resume: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"cannot resume: {exc}") from exc
     mode = "denoising" if task == "denoising" else "standard"
     triples = [(p.points, img, gt.points) for p, img, gt, _ in samples]
-    try:
-        train_loop(state, triples, steps, mode=mode,
-                   curve_path=out / "loss_curve.tsv", checkpoint_path=ckpt,
-                   verbose=bool(getattr(args, "verbose", False)))
-    except FloatingPointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    train_loop(state, triples, steps, mode=mode,
+               curve_path=out / "loss_curve.tsv", checkpoint_path=ckpt,
+               verbose=bool(getattr(args, "verbose", False)))
     print(f"trained {steps} steps; checkpoint at {ckpt}")
     return EXIT_OK
 
@@ -183,17 +189,15 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     file_cfg = _load_file_cfg(args)
-    root = Path(_resolve(args, "data", file_cfg))
-    out = Path(_resolve(args, "out", file_cfg, "run"))
+    root = _resolve(args, "data", file_cfg, cast=Path, required=True)
+    out = _resolve(args, "out", file_cfg, "run", cast=Path)
     task = _resolve(args, "task", file_cfg, "supervised")
-    seed = int(_resolve(args, "seed", file_cfg, 0))
-    limit = _resolve(args, "limit", file_cfg)
+    seed = _resolve(args, "seed", file_cfg, 0, cast=int)
+    limit = _resolve(args, "limit", file_cfg, cast=int)
     manifest = Manifest.load(root / "manifest.json")
-    samples = _load_samples(root, manifest, task, "test", seed,
-                            int(limit) if limit else None)
+    samples = _load_samples(root, manifest, task, "test", seed, limit)
     if not samples:
-        print("error: empty evaluation split", file=sys.stderr)
-        return EXIT_DATA
+        raise ValueError("empty evaluation split")
     model = _build_model(args, file_cfg)
     ckpt = _resolve(args, "checkpoint", file_cfg)
     if ckpt:
@@ -201,26 +205,19 @@ def cmd_eval(args) -> int:
         try:
             model.load_state_dict(arrays)
         except (KeyError, ValueError) as exc:
-            print(f"error: checkpoint mismatch: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    model.eval()
-    preds, gts = [], []
-    for partial, image, gt, rec in samples:
-        with T.no_grad():
-            res = model(partial.points, image)
-        preds.append(geometry.PointCloud(res["p_gen2"].data.astype(np.float64),
-                                         category=rec.category))
-        gts.append(gt)
-    report = metrics.evaluate_batch(preds, gts)
+            raise ConfigError(f"checkpoint mismatch: {exc}") from exc
+    gts = [gt for _, _, gt, _ in samples]
+    reports = [metrics.evaluate_pair(p, gt) for p, gt in zip(_predict(model, samples), gts)]
+    cats = [metrics.category_of(gt) for gt in gts]
+    report = metrics.summarize(reports, cats)
     extra = None
     if task == "zeroshot":
-        unseen_set = set(manifest.splits["zeroshot"]["unseen_categories"])
-        seen_idx = [i for i, g in enumerate(gts) if g.category not in unseen_set]
-        unseen_idx = [i for i, g in enumerate(gts) if g.category in unseen_set]
+        unseen = set(manifest.splits["zeroshot"].get("unseen_categories", []))
         extra = {}
-        for label, idxs in (("Mean(seen)", seen_idx), ("Mean(unseen)", unseen_idx)):
+        for label, want in (("Mean(seen)", False), ("Mean(unseen)", True)):
+            idxs = [i for i, gt in enumerate(gts) if (gt.category in unseen) == want]
             if idxs:
-                r = metrics.evaluate_batch([preds[i] for i in idxs], [gts[i] for i in idxs])
+                r = metrics.summarize([reports[i] for i in idxs], [cats[i] for i in idxs])
                 extra[label] = {"cd_l1": r.cd_l1, "cd_l2": r.cd_l2, "fscore": r.fscore}
     table = metrics.format_table(report, extra)
     out.mkdir(parents=True, exist_ok=True)
@@ -241,58 +238,38 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     file_cfg = _load_file_cfg(args)
-    root = Path(_resolve(args, "data", file_cfg))
-    out = Path(_resolve(args, "out", file_cfg, "ablation"))
-    seed = int(_resolve(args, "seed", file_cfg, 0))
-    steps = int(_resolve(args, "steps", file_cfg, 50))
-    limit = _resolve(args, "limit", file_cfg)
-    limit = int(limit) if limit else 4
-    spec = _resolve(args, "partitions", file_cfg, "0/4,2/2,4/0")
-    try:
-        partitions = [tuple(int(x) for x in p.split("/")) for p in str(spec).split(",")]
-    except ValueError:
-        print(f"error: cannot parse partitions {spec!r}", file=sys.stderr)
-        return EXIT_CONFIG
+    root = _resolve(args, "data", file_cfg, cast=Path, required=True)
+    out = _resolve(args, "out", file_cfg, "ablation", cast=Path)
+    seed = _resolve(args, "seed", file_cfg, 0, cast=int)
+    steps = _resolve(args, "steps", file_cfg, 50, cast=int)
+    limit = _resolve(args, "limit", file_cfg, cast=int) or 4
+    partitions = _resolve(args, "partitions", file_cfg, "0/4,2/2,4/0",
+                          cast=lambda v: [(int(a), int(b)) for a, b in
+                                          (p.split("/") for p in str(v).split(","))])
     sums = {a + b for a, b in partitions}
     if len(sums) != 1:
-        print(f"error: partitions disagree on total block count: {sorted(sums)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"partitions disagree on total block count: {sorted(sums)}")
     n_blocks = sums.pop()
     base = mini_config()
     if base.N % n_blocks:
-        print(f"error: {n_blocks} blocks do not divide N={base.N}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{n_blocks} blocks do not divide N={base.N}")
     manifest = Manifest.load(root / "manifest.json")
-    tasks = ("supervised", "denoising", "zeroshot")
+    splits = {task: [_load_samples(root, manifest, task, part, seed, limit)
+                     for part in ("train", "test")]
+              for task in ("supervised", "denoising", "zeroshot")}
+    if not all(all(parts) for parts in splits.values()):
+        raise ValueError("empty split for ablation")
     rows = ["n_img\tn_pc\ttask\tCD-l1(x1e-3)\tCD-l2(x1e-3)\tFS"]
     for n_img, n_pc in partitions:
-        for task in tasks:
+        for task, (train, test) in splits.items():
             cfg = mini_config(n_blocks=n_blocks, n_img_blocks=n_img,
                               block_points=base.N // n_blocks)
             model = DuInNet(cfg, seed=seed)
-            train = _load_samples(root, manifest, task, "train", seed, limit)
-            test = _load_samples(root, manifest, task, "test", seed, limit)
-            if not train or not test:
-                print("error: empty split for ablation", file=sys.stderr)
-                return EXIT_DATA
             state = TrainState(model, lr=1e-4)
             mode = "denoising" if task == "denoising" else "standard"
             triples = [(p.points, img, gt.points) for p, img, gt, _ in train]
-            try:
-                train_loop(state, triples, steps, mode=mode)
-            except FloatingPointError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_NUMERIC
-            model.eval()
-            preds, gts = [], []
-            for partial, image, gt, rec in test:
-                with T.no_grad():
-                    res = model(partial.points, image)
-                preds.append(geometry.PointCloud(res["p_gen2"].data.astype(np.float64),
-                                                 category=rec.category))
-                gts.append(gt)
-            rep = metrics.evaluate_batch(preds, gts)
+            train_loop(state, triples, steps, mode=mode)
+            rep = metrics.evaluate_batch(_predict(model, test), [gt for _, _, gt, _ in test])
             rows.append(f"{n_img}\t{n_pc}\t{task}\t{rep.cd_l1 * 1e3:.3f}\t"
                         f"{rep.cd_l2 * 1e3:.3f}\t{rep.fscore:.3f}")
     out.mkdir(parents=True, exist_ok=True)
@@ -305,106 +282,50 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .model.attention import CrossAttentionBlock
-    from .model.generator import GeneratorBlock
-    from .model.network import completion_loss
-
     rng = np.random.default_rng(int(getattr(args, "seed", 0) or 0))
-    T.set_default_dtype(np.float64)
     failures = 0
-    try:
-        checks = []
-
-        def mk(name, fn, shapes, tol=1e-4):
-            checks.append((name, fn, shapes, tol))
-
-        mk("add", lambda a, b: T.reduce_sum(T.add(a, b)), [(3, 4), (3, 4)])
-        mk("mul", lambda a, b: T.reduce_sum(T.mul(a, b)), [(3, 4), (3, 4)])
-        mk("matmul", lambda a, b: T.reduce_sum(T.matmul(a, b)), [(5, 4), (4, 3)])
-        mk("relu", lambda a: T.reduce_sum(T.relu(a)), [(4, 4)])
-        mk("softmax", lambda a: T.reduce_sum(T.mul(a, T.softmax(a, axis=-1))), [(4, 7)])
-        for name, fn, shapes, tol in checks:
-            err = check_fn(fn, [rng.standard_normal(s) for s in shapes])
-            ok = err < tol
-            failures += not ok
-            print(f"{'PASS' if ok else 'FAIL'} {name}: rel err {err:.2e} (tol {tol})")
-
-        C, heads = 8, 2
-        ca = CrossAttentionBlock(C, heads, np.random.default_rng(1))
-        q0, kv0 = rng.standard_normal((5, C)), rng.standard_normal((7, C))
-        err = check_module_params(ca, lambda: T.reduce_sum(ca(T.tensor(q0), T.tensor(kv0))))
-        ok = err < 1e-4
+    for name, err, tol in gradient_suite(rng):
+        ok = err < tol
         failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'} cross_attention_block: rel err {err:.2e} (tol 1e-4)")
-
-        blk = GeneratorBlock(8, 4, np.random.default_rng(2))
-        blk.eval()
-        f0 = rng.standard_normal((6, 8))
-        err = check_module_params(blk, lambda: T.reduce_sum(blk(T.tensor(f0))))
-        ok = err < 1e-4
-        failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'} generator_block: rel err {err:.2e} (tol 1e-4)")
-
-        gen = rng.standard_normal((16, 3))
-        gt = rng.standard_normal((16, 3))
-        err = check_fn(lambda a: completion_loss(a, a, T.tensor(gt), "standard"), [gen])
-        ok = err < 1e-3
-        failures += not ok
-        print(f"{'PASS' if ok else 'FAIL'} completion_loss: rel err {err:.2e} (tol 1e-3)")
-    finally:
-        T.set_default_dtype(np.float32)
+        print(f"{'PASS' if ok else 'FAIL'} {name}: rel err {err:.2e} (tol {tol:g})")
     return EXIT_OK if failures == 0 else EXIT_NUMERIC
 
 
 # -- parser -----------------------------------------------------------------------
 
 
+# subcommand: (help, handler, string flags, typed flags); "--n-points" sets args.n_points
+_COMMANDS = {
+    "gen": ("synthesize a dataset tree from CAD meshes", cmd_gen,
+            ("--mesh-dir", "--out", "--config"),
+            {"--seed": int, "--n-points": int, "--n-viewpoints": int, "--image-side": int,
+             "--noise-sigma": float}),
+    "train": ("train the completion model", cmd_train,
+              ("--data", "--out", "--config", "--task", "--profile", "--resume", "--decay-steps"),
+              {"--seed": int, "--steps": int, "--limit": int, "--lr": float,
+               "--n-img-blocks": int}),
+    "eval": ("evaluate a checkpoint on a test split", cmd_eval,
+             ("--data", "--out", "--config", "--task", "--profile", "--checkpoint"),
+             {"--seed": int, "--limit": int, "--n-img-blocks": int}),
+    "ablate": ("sweep generator block partitions", cmd_ablate,
+               ("--data", "--out", "--config", "--partitions"),
+               {"--seed": int, "--steps": int, "--limit": int}),
+    "gradcheck": ("finite-difference gradient verification", cmd_gradcheck, (), {"--seed": int}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="duinnet", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="synthesize a dataset tree from CAD meshes")
-    g.add_argument("--mesh-dir", dest="mesh_dir")
-    g.add_argument("--out")
-    g.add_argument("--config")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--n-points", dest="n_points", type=int)
-    g.add_argument("--n-viewpoints", dest="n_viewpoints", type=int)
-    g.add_argument("--image-side", dest="image_side", type=int)
-    g.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    g.set_defaults(func=cmd_gen)
-
-    t = sub.add_parser("train", help="train the completion model")
-    for flag in ("--data", "--out", "--config", "--task", "--profile", "--resume"):
-        t.add_argument(flag)
-    t.add_argument("--seed", type=int)
-    t.add_argument("--steps", type=int)
-    t.add_argument("--limit", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--decay-steps", dest="decay_steps")
-    t.add_argument("--n-img-blocks", dest="n_img_blocks", type=int)
-    t.add_argument("--verbose", action="store_true")
-    t.set_defaults(func=cmd_train)
-
-    e = sub.add_parser("eval", help="evaluate a checkpoint on a test split")
-    for flag in ("--data", "--out", "--config", "--task", "--profile", "--checkpoint"):
-        e.add_argument(flag)
-    e.add_argument("--seed", type=int)
-    e.add_argument("--limit", type=int)
-    e.add_argument("--n-img-blocks", dest="n_img_blocks", type=int)
-    e.set_defaults(func=cmd_eval)
-
-    a = sub.add_parser("ablate", help="sweep generator block partitions")
-    for flag in ("--data", "--out", "--config", "--partitions"):
-        a.add_argument(flag)
-    a.add_argument("--seed", type=int)
-    a.add_argument("--steps", type=int)
-    a.add_argument("--limit", type=int)
-    a.set_defaults(func=cmd_ablate)
-
-    c = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    c.add_argument("--seed", type=int)
-    c.set_defaults(func=cmd_gradcheck)
+    for name, (help_text, func, flags, typed) in _COMMANDS.items():
+        c = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            c.add_argument(flag)
+        for flag, kind in typed.items():
+            c.add_argument(flag, type=kind)
+        if name == "train":
+            c.add_argument("--verbose", action="store_true")
+        c.set_defaults(func=func)
     return p
 
 
@@ -412,12 +333,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelConfigError, datasetgen.ConfigError, FileNotFoundError) as exc:
+    except (ModelConfigError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (geometry.GeometryError, ValueError) as exc:
+    except (geometry.GeometryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except FloatingPointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

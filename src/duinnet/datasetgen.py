@@ -25,7 +25,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +116,19 @@ class SampleRecord:
         return f"{self.category}/{self.model_id}/vp_{self.viewpoint_id}"
 
 
+_RECORD_FIELDS = {f.name: (int if f.name == "viewpoint_id" else str)
+                  for f in fields(SampleRecord)}
+
+
+def _str_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(s, str) for s in v)
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise ValueError(f"malformed manifest: {what}")
+
+
 @dataclass
 class Manifest:
     name: str
@@ -148,12 +161,26 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
+        """Parse a manifest; any malformed part raises ``ValueError`` naming it."""
         doc = json.loads(text)
+        _require(isinstance(doc, dict), "not a JSON object")
+        doc.setdefault("splits", {})
+        for key, kind in (("name", str), ("config", dict), ("config_hash", str),
+                          ("categories", list), ("records", list), ("splits", dict)):
+            _require(isinstance(doc.get(key), kind), f"{key!r} missing or not a {kind.__name__}")
+        _require(_str_list(doc["categories"]), "'categories' must list strings")
+        for task, parts in doc["splits"].items():
+            _require(isinstance(parts, dict) and all(map(_str_list, parts.values())),
+                     f"split {task!r} must map parts to lists of record ids")
+        for i, r in enumerate(doc["records"]):
+            _require(isinstance(r, dict) and set(r) == set(_RECORD_FIELDS),
+                     f"record {i} must be an object with keys {sorted(_RECORD_FIELDS)}")
+            for key, kind in _RECORD_FIELDS.items():
+                _require(type(r[key]) is kind, f"record {i} {key!r} is not a {kind.__name__}")
         return cls(
             name=doc["name"], config=doc["config"], config_hash=doc["config_hash"],
-            categories=doc["categories"],
-            records=[SampleRecord(**r) for r in doc["records"]],
-            splits=doc.get("splits", {}),
+            categories=doc["categories"], records=[SampleRecord(**r) for r in doc["records"]],
+            splits=doc["splits"],
         )
 
     def save(self, path) -> None:
@@ -430,12 +457,11 @@ def split_records(manifest: Manifest, task: str, part: str) -> list[SampleRecord
     if task not in manifest.splits:
         raise ConfigError(f"manifest has no '{task}' split; run make_splits first")
     split = manifest.splits[task]
-    if part == "test" and task == "zeroshot":
-        ids = set(split["test_seen"]) | set(split["test_unseen"])
-    else:
-        if part not in split:
-            raise ConfigError(f"split '{task}' has no part '{part}'")
-        ids = set(split[part])
+    parts = ("test_seen", "test_unseen") if part == "test" and task == "zeroshot" else (part,)
+    for p in parts:
+        if p not in split:
+            raise ConfigError(f"split '{task}' has no part '{p}'")
+    ids = set().union(*(split[p] for p in parts))
     return [r for r in manifest.records if r.record_id in ids]
 
 

@@ -54,7 +54,12 @@ class TriMesh:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=np.float64)
         self.faces = np.asarray(self.faces, dtype=np.int64)
-        if self.faces.size and self.faces.max() >= len(self.vertices):
+        v, f = self.vertices, self.faces
+        if v.ndim != 2 or v.shape[1] != 3 or f.ndim != 2 or f.shape[1] != 3:
+            raise GeometryError(f"need (n, 3) vertices and (m, 3) faces, got {v.shape}, {f.shape}")
+        if not np.isfinite(v).all():
+            raise GeometryError("vertices contain non-finite coordinates")
+        if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise GeometryError("face index out of range")
 
     def face_areas(self) -> np.ndarray:
@@ -361,6 +366,18 @@ def resample_to(cloud: PointCloud, n: int, seed: int = 0,
 # -- file formats -------------------------------------------------------------------
 
 
+def _fan_triangulate(polygons: list[list[int]], nv: int, path) -> np.ndarray:
+    """(m, 3) triangles fanned from each polygon's first vertex index."""
+    tris = [(idx[0], idx[j], idx[j + 1]) for idx in polygons for j in range(1, len(idx) - 1)]
+    try:
+        faces = np.array(tris, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        raise GeometryError(f"{path}: a face index does not fit in 64 bits") from None
+    if faces.size and (faces.min() < 0 or faces.max() >= nv):
+        raise GeometryError(f"{path}: a face has a vertex index outside [0, {nv})")
+    return faces
+
+
 def load_off(path) -> TriMesh:
     """Parse ASCII OFF (ModelNet native); tolerates counts glued to the header."""
     with open(path) as f:
@@ -380,22 +397,21 @@ def load_off(path) -> TriMesh:
     if len(tokens) < 3:
         raise GeometryError(f"{path}: truncated OFF counts line")
     nv, nf = int(tokens[0]), int(tokens[1])
+    if nv < 0 or nf < 0:
+        raise GeometryError(f"{path}: negative vertex or face count")
     pos = 3  # skip edge count
     if len(tokens) < pos + 3 * nv:
         raise GeometryError(f"{path}: declares {nv} vertices but the file ends early")
     verts = np.array(tokens[pos : pos + 3 * nv], dtype=np.float64).reshape(nv, 3)
     pos += 3 * nv
-    faces: list[tuple[int, int, int]] = []
+    polygons: list[list[int]] = []
     for k in range(nf):
-        if pos >= len(tokens) or pos + 1 + int(tokens[pos]) > len(tokens):
+        cnt = int(tokens[pos]) if pos < len(tokens) else 0
+        if pos >= len(tokens) or cnt < 0 or pos + 1 + cnt > len(tokens):
             raise GeometryError(f"{path}: declares {nf} faces but face {k} is truncated")
-        cnt = int(tokens[pos])
-        idx = [int(t) for t in tokens[pos + 1 : pos + 1 + cnt]]
+        polygons.append([int(t) for t in tokens[pos + 1 : pos + 1 + cnt]])
         pos += 1 + cnt
-        for i in range(1, cnt - 1):  # fan-triangulate
-            faces.append((idx[0], idx[i], idx[i + 1]))
-    mesh = TriMesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
-    return mesh.drop_degenerate_faces()
+    return TriMesh(verts, _fan_triangulate(polygons, nv, path)).drop_degenerate_faces()
 
 
 def load_ply(path) -> TriMesh:
@@ -414,6 +430,8 @@ def load_ply(path) -> TriMesh:
             if len(parts) < 3:
                 raise GeometryError(f"{path}: header line {i + 1} has no element count")
             counts[parts[1]] = int(parts[2])
+            if counts[parts[1]] < 0:
+                raise GeometryError(f"{path}: header line {i + 1} has a negative count")
         elif parts[0] == "format" and parts[1:2] != ["ascii"]:
             raise GeometryError(f"{path}: only ascii PLY supported")
         i += 1
@@ -422,16 +440,16 @@ def load_ply(path) -> TriMesh:
     if len(body) < nv + nf:
         raise GeometryError(f"{path}: declares {nv} vertices and {nf} faces "
                             f"but has {len(body)} rows")
-    verts = np.array([row[:3] for row in body[:nv]], dtype=np.float64)
-    faces: list[tuple[int, int, int]] = []
+    if any(len(row) < 3 for row in body[:nv]):
+        raise GeometryError(f"{path}: a vertex row has fewer than 3 coordinates")
+    verts = np.array([row[:3] for row in body[:nv]], dtype=np.float64).reshape(nv, 3)
+    polygons: list[list[int]] = []
     for k, row in enumerate(body[nv : nv + nf]):
         cnt = int(row[0])
-        if len(row) < 1 + cnt:
+        if cnt < 0 or len(row) < 1 + cnt:
             raise GeometryError(f"{path}: face {k} lists fewer than its {cnt} indices")
-        idx = [int(t) for t in row[1 : 1 + cnt]]
-        for j in range(1, cnt - 1):
-            faces.append((idx[0], idx[j], idx[j + 1]))
-    mesh = TriMesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
+        polygons.append([int(t) for t in row[1 : 1 + cnt]])
+    mesh = TriMesh(verts, _fan_triangulate(polygons, nv, path))
     return mesh.drop_degenerate_faces() if nf else mesh
 
 

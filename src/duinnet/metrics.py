@@ -1,15 +1,16 @@
 """Completion quality metrics: Chamfer distances, precision/recall, F-Score.
 
-The accelerated nearest-neighbor path (k-d tree) is validated against a
-brute-force double loop in the test suite; both must agree to 1e-9 at 64-bit.
+Every metric reads the same two arrays: each direction's nearest-neighbor
+squared distances, found with one k-d tree per cloud (2 builds, 2 queries).
+``evaluate_pair`` is the one place that finds them and applies each formula;
+``chamfer_l1``, ``chamfer_l2`` and ``fscore`` read their fields from it. The
+k-d tree path is validated against a brute-force double loop in the test
+suite; both must agree to 1e-9 at 64-bit.
 
-Conventions: with ``norm_convention="squared"`` (default) the l1 Chamfer
-distance averages Euclidean distances and the l2 variant averages squared
-distances, matching the completion-benchmark literature. The alternative
-``"euclidean"`` reading (norm taken as plain distance before the outer
-sqrt / identity) is provided for comparison. The F-Score threshold d is
-compared against squared distances by default, so d=0.001 is meaningful on
-unit-normalized shapes; set ``squared_threshold=False`` for the plain scale.
+The l1 Chamfer distance averages Euclidean distances (halved per direction)
+and the l2 variant averages squared distances, matching the
+completion-benchmark literature. The F-Score threshold d is compared against
+squared distances, so d=0.001 is meaningful on unit-normalized shapes.
 """
 
 from __future__ import annotations
@@ -33,47 +34,6 @@ def nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d * d
 
 
-def chamfer_l1(p, q, norm_convention: str = "squared") -> float:
-    """Symmetric mean nearest-neighbor distance, halved per direction."""
-    pa, qa = _pts(p), _pts(q)
-    dpq = nearest_sq_dists(pa, qa)
-    dqp = nearest_sq_dists(qa, pa)
-    if norm_convention == "squared":
-        dpq, dqp = np.sqrt(dpq), np.sqrt(dqp)
-    elif norm_convention == "euclidean":
-        dpq, dqp = np.sqrt(np.sqrt(dpq)), np.sqrt(np.sqrt(dqp))
-    else:
-        raise ValueError(f"unknown norm_convention {norm_convention!r}")
-    return 0.5 * dpq.mean() + 0.5 * dqp.mean()
-
-
-def chamfer_l2(p, q, norm_convention: str = "squared") -> float:
-    """Symmetric mean nearest-neighbor distance on the squared scale (no halving)."""
-    pa, qa = _pts(p), _pts(q)
-    dpq = nearest_sq_dists(pa, qa)
-    dqp = nearest_sq_dists(qa, pa)
-    if norm_convention == "euclidean":
-        dpq, dqp = np.sqrt(dpq), np.sqrt(dqp)
-    elif norm_convention != "squared":
-        raise ValueError(f"unknown norm_convention {norm_convention!r}")
-    return dpq.mean() + dqp.mean()
-
-
-def fscore(p, q, d: float, squared_threshold: bool = True) -> tuple[float, float, float]:
-    """(precision, recall, F) at threshold d; F = 0 when both sides miss."""
-    if d <= 0:
-        raise ValueError("threshold d must be positive")
-    pa, qa = _pts(p), _pts(q)
-    dpq = nearest_sq_dists(pa, qa)
-    dqp = nearest_sq_dists(qa, pa)
-    if not squared_threshold:
-        dpq, dqp = np.sqrt(dpq), np.sqrt(dqp)
-    precision = float((dpq < d).mean())
-    recall = float((dqp < d).mean())
-    f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f
-
-
 @dataclass
 class MetricReport:
     cd_l1: float
@@ -86,11 +46,65 @@ class MetricReport:
 
 
 def evaluate_pair(pred, gt, d: float = 0.001) -> MetricReport:
-    p, r, f = fscore(pred, gt, d)
+    """All five metrics of one pair, from one nearest-neighbor pass each way."""
+    if d <= 0:
+        raise ValueError("threshold d must be positive")
+    pa, qa = _pts(pred), _pts(gt)
+    dpq, dqp = nearest_sq_dists(pa, qa), nearest_sq_dists(qa, pa)
+    precision = float((dpq < d).mean())
+    recall = float((dqp < d).mean())
+    f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return MetricReport(
-        cd_l1=chamfer_l1(pred, gt), cd_l2=chamfer_l2(pred, gt),
-        precision=p, recall=r, fscore=f, threshold_d=d,
+        cd_l1=0.5 * np.sqrt(dpq).mean() + 0.5 * np.sqrt(dqp).mean(),
+        cd_l2=dpq.mean() + dqp.mean(),
+        precision=precision, recall=recall, fscore=f, threshold_d=d,
     )
+
+
+def chamfer_l1(p, q) -> float:
+    """Symmetric mean nearest-neighbor distance, halved per direction."""
+    return evaluate_pair(p, q).cd_l1
+
+
+def chamfer_l2(p, q) -> float:
+    """Symmetric mean nearest-neighbor distance on the squared scale (no halving)."""
+    return evaluate_pair(p, q).cd_l2
+
+
+def fscore(p, q, d: float) -> tuple[float, float, float]:
+    """(precision, recall, F) at squared-distance threshold d; F = 0 when both sides miss."""
+    rep = evaluate_pair(p, q, d)
+    return rep.precision, rep.recall, rep.fscore
+
+
+def summarize(reports: list[MetricReport], categories: list[str]) -> MetricReport:
+    """Mean of per-pair reports, with a per-category breakdown in sorted order."""
+    if not reports:
+        raise ValueError("empty evaluation batch")
+
+    def _mean(reps, attr):
+        return float(np.mean([getattr(r, attr) for r in reps]))
+
+    out = MetricReport(
+        cd_l1=_mean(reports, "cd_l1"), cd_l2=_mean(reports, "cd_l2"),
+        precision=_mean(reports, "precision"), recall=_mean(reports, "recall"),
+        fscore=_mean(reports, "fscore"), threshold_d=reports[0].threshold_d,
+    )
+    by_cat: dict[str, list[MetricReport]] = {}
+    for cat, rep in zip(categories, reports, strict=True):
+        by_cat.setdefault(cat, []).append(rep)
+    for cat in sorted(by_cat):
+        reps = by_cat[cat]
+        out.per_category[cat] = {
+            "cd_l1": _mean(reps, "cd_l1"), "cd_l2": _mean(reps, "cd_l2"),
+            "fscore": _mean(reps, "fscore"), "count": len(reps),
+        }
+    return out
+
+
+def category_of(cloud) -> str:
+    """A ground-truth cloud's category label, ``"all"`` when it has none."""
+    return getattr(cloud, "category", "") or "all"
 
 
 def evaluate_batch(preds, gts, d: float = 0.001, categories=None) -> MetricReport:
@@ -100,34 +114,9 @@ def evaluate_batch(preds, gts, d: float = 0.001, categories=None) -> MetricRepor
     """
     if len(preds) != len(gts):
         raise ValueError(f"pred/gt length mismatch: {len(preds)} vs {len(gts)}")
-    if len(preds) == 0:
-        raise ValueError("empty evaluation batch")
     if categories is None:
-        categories = [getattr(g, "category", "") or "all" for g in gts]
-    rows = []
-    for pred, gt, cat in zip(preds, gts, categories):
-        rep = evaluate_pair(pred, gt, d)
-        rows.append((cat, rep))
-    by_cat: dict[str, list[MetricReport]] = {}
-    for cat, rep in rows:
-        by_cat.setdefault(cat, []).append(rep)
-
-    def _mean(reports, attr):
-        return float(np.mean([getattr(r, attr) for r in reports]))
-
-    all_reports = [rep for _, rep in rows]
-    out = MetricReport(
-        cd_l1=_mean(all_reports, "cd_l1"), cd_l2=_mean(all_reports, "cd_l2"),
-        precision=_mean(all_reports, "precision"), recall=_mean(all_reports, "recall"),
-        fscore=_mean(all_reports, "fscore"), threshold_d=d,
-    )
-    for cat in sorted(by_cat):
-        reps = by_cat[cat]
-        out.per_category[cat] = {
-            "cd_l1": _mean(reps, "cd_l1"), "cd_l2": _mean(reps, "cd_l2"),
-            "fscore": _mean(reps, "fscore"), "count": len(reps),
-        }
-    return out
+        categories = [category_of(g) for g in gts]
+    return summarize([evaluate_pair(p, g, d) for p, g in zip(preds, gts)], categories)
 
 
 def format_table(report: MetricReport, extra_rows: dict[str, dict[str, float]] | None = None) -> str:

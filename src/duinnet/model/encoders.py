@@ -132,15 +132,10 @@ class ResidualBlock(Module):
             self.skip = None
             self.skip_bn = None
 
-    @staticmethod
-    def _bn(bn: BatchNorm1d, x: Tensor) -> Tensor:
-        h, w, c = x.shape
-        return T.reshape(bn(T.reshape(x, (h * w, c))), (h, w, c))
-
     def __call__(self, x: Tensor) -> Tensor:
-        y = self._bn(self.bn1, self.conv1(x))
-        y = self._bn(self.bn2, self.conv2(y))
-        s = x if self.skip is None else self._bn(self.skip_bn, self.skip(x))
+        y = self.bn1(self.conv1(x))
+        y = self.bn2(self.conv2(y))
+        s = x if self.skip is None else self.skip_bn(self.skip(x))
         return T.relu(T.add(y, s))
 
 
@@ -167,7 +162,7 @@ class ImageEncoder(Module):
             image = T.tensor(np.asarray(image, dtype=T.default_dtype()))
         if image.shape[:2] != (self.side, self.side) or image.shape[2] != 3:
             raise ValueError(f"expected {self.side}x{self.side}x3 image, got {image.shape}")
-        x = ResidualBlock._bn(self.stem_bn, self.stem(image))
+        x = self.stem_bn(self.stem(image))
         for block in self.stages:
             x = block(x)
         h, w, c = x.shape

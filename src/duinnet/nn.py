@@ -141,8 +141,8 @@ class LayerNorm(Module):
 
 
 class BatchNorm1d(Module):
-    """Batch normalization of (n, dim) rows; with ``relu`` it is followed by
-    ReLU in the same tape node."""
+    """Batch normalization of the last (dim) axis over all others; with
+    ``relu`` it is followed by ReLU in the same tape node."""
 
     buffer_names = ("running_mean", "running_var")
 

@@ -328,11 +328,8 @@ def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
 
 def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     def bw(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(ge, a.shape).copy())
+        ge = g if keepdims or axis is None else np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(ge, a.shape).copy())
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), "reduce_sum", (a,), bw)
 
@@ -341,11 +338,8 @@ def reduce_mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> T
     n = a.data.size if axis is None else a.shape[axis]
 
     def bw(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g / n, a.shape).copy())
-        else:
-            ge = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(ge / n, a.shape).copy())
+        ge = g if keepdims or axis is None else np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(ge / n, a.shape).copy())
 
     return _make(a.data.mean(axis=axis, keepdims=keepdims), "reduce_mean", (a,), bw)
 
@@ -428,8 +422,9 @@ def batch_norm_1d(
     eps: float = 1e-5,
     relu: bool = False,
 ) -> Tensor:
-    """Batch normalization over axis 0 of an (n, c) tensor, optionally
-    followed by ReLU in the same node.
+    """Batch normalization of the channels (last axis) over every other axis,
+    optionally followed by ReLU in the same node. An (h, w, c) feature map is
+    normalized as its (h * w, c) view, so no reshape node surrounds it.
 
     In training mode normalizes by batch statistics and updates the running
     buffers in place; in eval mode uses the running buffers as constants.
@@ -440,10 +435,12 @@ def batch_norm_1d(
     input and output.
     """
     gain, bias = _as_tensor(gain), _as_tensor(bias)
+    xd, c = x.data, x.shape[-1]  # reductions run over (-1, c) views of contiguous data
     if training:
-        mu = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        n = x.shape[0]
+        rows = xd.reshape(-1, c)
+        mu = rows.mean(axis=0)
+        var = rows.var(axis=0)
+        n = rows.shape[0]
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
@@ -452,12 +449,11 @@ def batch_norm_1d(
         mu = running_mean.copy()  # a later train-mode forward moves the buffer
         var = running_var
     inv = 1.0 / np.sqrt(var + eps)
-    xd = x.data
 
     def normalized(*wider) -> np.ndarray:
         """``(x - mu) * inv``, then cast up to the dtype a product with
         ``wider`` would have, so in-place arithmetic rounds as that product."""
-        xhat = xd - mu
+        xhat = xd.reshape(-1, c) - mu
         xhat *= inv
         return xhat.astype(np.result_type(xhat, *wider), copy=False)
 
@@ -466,10 +462,12 @@ def batch_norm_1d(
     out_data += bias.data
     if relu:
         np.fmax(out_data, 0, out=out_data)
+    out_data = out_data.reshape(x.shape)
 
     def bw(g):
+        g = g.reshape(-1, c)
         if relu:
-            g = g * (out_data > 0)
+            g = g * (out_data.reshape(-1, c) > 0)
         need_gain = gain.requires_grad or gain._parents
         need_x = x.requires_grad or x._parents
         if need_gain or (need_x and training):
@@ -488,7 +486,7 @@ def batch_norm_1d(
                 gx -= t1
                 gx -= xhat
             gx *= inv
-            x._accumulate(gx)
+            x._accumulate(gx.reshape(x.shape))
 
     return _make(out_data, "batch_norm_1d", (x, gain, bias), bw)
 

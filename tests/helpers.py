@@ -15,6 +15,7 @@ from scipy.spatial import cKDTree
 from duinnet import tensor as T
 from duinnet.datasetgen import UNSEEN_CATEGORIES, Manifest, SampleRecord
 from duinnet.geometry import TriMesh
+from duinnet.metrics import MetricReport
 
 
 # -- brute-force metric oracles ----------------------------------------------------
@@ -54,6 +55,28 @@ def fscore_oracle(p: np.ndarray, q: np.ndarray, d: float):
     rec = frac_within(q, p)
     f = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
     return prec, rec, f
+
+
+def evaluate_pair_three_pass_oracle(pred, gt, d: float = 0.001):
+    """The former ``metrics.evaluate_pair``: F-Score, l1 and l2 Chamfer each
+    build two k-d trees and query both ways (6 builds, 6 queries a pair)."""
+    def both_ways(p, q):
+        pa = np.asarray(getattr(p, "points", p), dtype=np.float64)
+        qa = np.asarray(getattr(q, "points", q), dtype=np.float64)
+        dpq, _ = cKDTree(qa).query(pa, k=1)
+        dqp, _ = cKDTree(pa).query(qa, k=1)
+        return dpq * dpq, dqp * dqp
+
+    dpq, dqp = both_ways(pred, gt)
+    precision = float((dpq < d).mean())
+    recall = float((dqp < d).mean())
+    f = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    dpq, dqp = both_ways(pred, gt)
+    cd_l1 = 0.5 * np.sqrt(dpq).mean() + 0.5 * np.sqrt(dqp).mean()
+    dpq, dqp = both_ways(pred, gt)
+    cd_l2 = dpq.mean() + dqp.mean()
+    return MetricReport(cd_l1=cd_l1, cd_l2=cd_l2, precision=precision, recall=recall,
+                        fscore=f, threshold_d=d)
 
 
 # -- greedy / sort oracles ------------------------------------------------------

@@ -17,15 +17,13 @@ from scipy.spatial import cKDTree
 
 from helpers import (MODELNET40, box_mesh, fps_replay_oracle, overfit_shapes,
                      synthetic_manifest, uv_sphere)
-from test_tensor import PRIMITIVE_CHECKS
 
 from duinnet import metrics, tensor as T
 from duinnet.datasetgen import UNSEEN_CATEGORIES, make_splits, split_records
-from duinnet.gradcheck import check_fn
+from duinnet.gradcheck import gradient_suite
 from duinnet.geometry import HPRConfig, PointCloud, fps, hidden_point_removal
 from duinnet.model import DuInNet, mini_config
 from duinnet.model.attention import CrossAttentionBlock
-from duinnet.model.generator import GeneratorBlock
 from duinnet.model.network import completion_loss
 from duinnet.training import TrainState, train_loop
 
@@ -96,27 +94,10 @@ def test_gradient_suite():
     rng = np.random.default_rng(3)
     T.set_default_dtype(np.float64)
     try:
-        # every differentiable primitive
-        for name, fn, shapes in PRIMITIVE_CHECKS:
-            err = check_fn(fn, [rng.standard_normal(s) for s in shapes])
-            assert err < 1e-4, f"{name}: rel err {err}"
-        # the cross-attention block
-        ca = CrossAttentionBlock(8, 2, np.random.default_rng(4))
-        q0, kv0 = rng.standard_normal((5, 8)), rng.standard_normal((7, 8))
-        from duinnet.gradcheck import check_module_params
-        err = check_module_params(ca, lambda: T.reduce_sum(ca(T.tensor(q0), T.tensor(kv0))))
-        assert err < 1e-4, f"cross attention: rel err {err}"
-        # one generator block
-        blk = GeneratorBlock(8, 4, np.random.default_rng(5))
-        blk.eval()
-        f0 = rng.standard_normal((6, 8))
-        err = check_module_params(blk, lambda: T.reduce_sum(blk(T.tensor(f0))))
-        assert err < 1e-4, f"generator block: rel err {err}"
-        # the full mini-profile loss: input gradients ...
-        gt16 = rng.standard_normal((16, 3))
-        err = check_fn(lambda a: completion_loss(a, a, T.tensor(gt16), "standard"),
-                       [rng.standard_normal((16, 3))])
-        assert err < 1e-3, f"loss input grads: rel err {err}"
+        # every differentiable primitive, the cross-attention block, one
+        # generator block and the full mini-profile loss's input gradients ...
+        for name, err, tol in gradient_suite(rng):
+            assert err < tol, f"{name}: rel err {err}"
         # ... and sampled end-to-end parameter gradients through the whole network
         model = DuInNet(mini_config(), seed=0)
         model.to_dtype(np.float64)

@@ -13,8 +13,11 @@ import pytest
 
 from helpers import box_mesh, save_off, uv_sphere
 
-from duinnet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from duinnet import metrics, tensor as T
+from duinnet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, _load_samples, main
 from duinnet.datasetgen import Manifest
+from duinnet.gradcheck import PRIMITIVE_CHECKS
+from duinnet.model import DuInNet, make_config
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +256,29 @@ def test_eval_zeroshot_reports_seen_unseen_means(cli_workspace):
     assert manifest.splits["zeroshot"]["unseen_categories"] == ["bowl"]
 
 
+def test_eval_zeroshot_extra_rows_equal_evaluate_batch_over_subsets(cli_workspace, tmp_path):
+    _, _, data = cli_workspace
+    assert main(["eval", "--data", str(data), "--out", str(tmp_path), "--profile", "mini",
+                 "--task", "zeroshot", "--seed", "0"]) == EXIT_OK
+    report = json.loads((tmp_path / "eval_report.json").read_text())
+    manifest = Manifest.load(data / "manifest.json")
+    unseen = set(manifest.splits["zeroshot"]["unseen_categories"])
+    model = DuInNet(make_config("mini"), seed=0)
+    model.eval()
+    preds, gts = {False: [], True: []}, {False: [], True: []}
+    for partial, image, gt, rec in _load_samples(data, manifest, "zeroshot", "test", 0):
+        with T.no_grad():
+            pred = model(partial.points, image)["p_gen2"].data.astype(np.float64)
+        preds[rec.category in unseen].append(pred)
+        gts[rec.category in unseen].append(gt)
+    for label, is_unseen in (("Mean(seen)", False), ("Mean(unseen)", True)):
+        rep = metrics.evaluate_batch(preds[is_unseen], gts[is_unseen])
+        assert report["extra"][label] == {"cd_l1": rep.cd_l1, "cd_l2": rep.cd_l2,
+                                          "fscore": rep.fscore}
+    rep = metrics.evaluate_batch(preds[False] + preds[True], gts[False] + gts[True])
+    assert report["mean"]["cd_l1"] == pytest.approx(rep.cd_l1, rel=1e-12)
+
+
 def test_eval_checkpoint_config_mismatch(cli_workspace, tmp_path):
     base, _, data = cli_workspace
     import duinnet.tensor as T
@@ -311,8 +337,10 @@ def test_ablate_rejects_blocks_not_dividing_n(cli_workspace):
 
 def test_gradcheck_command(capsys):
     assert main(["gradcheck", "--seed", "0"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "PASS" in out and "FAIL" not in out
+    lines = capsys.readouterr().out.splitlines()
+    names = [name for name, _, _ in PRIMITIVE_CHECKS]
+    names += ["cross_attention_block", "generator_block", "completion_loss"]
+    assert [ln.split(":")[0] for ln in lines] == [f"PASS {name}" for name in names]
 
 
 # -- option precedence -------------------------------------------------------------
@@ -348,3 +376,65 @@ def test_missing_config_file_is_config_error(cli_workspace, tmp_path):
     _, _, data = cli_workspace
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
                  "--config", str(tmp_path / "absent.json")]) == EXIT_CONFIG
+
+
+# -- exit codes --------------------------------------------------------------------
+
+
+def _write(path: Path, text: str) -> Path:
+    path.write_text(text)
+    return path
+
+
+def _copy_without(data: Path, tmp: Path, pattern: str) -> Path:
+    cut = tmp / "data"
+    shutil.copytree(data, cut)
+    for f in cut.rglob(pattern):
+        f.unlink()
+    return cut
+
+
+# id: (argv from (dataset, tmp dir), environment, exit code, text stderr must contain)
+_EXIT_CASES = {
+    "config-missing": (lambda d, t: ["train", "--data", d, "--config", t / "absent.json"],
+                       {}, EXIT_CONFIG, "absent.json"),
+    "config-unparsable": (lambda d, t: ["train", "--data", d,
+                                        "--config", _write(t / "c.json", "{steps")],
+                          {}, EXIT_CONFIG, "c.json"),
+    "config-not-object": (lambda d, t: ["train", "--data", d,
+                                        "--config", _write(t / "c.json", "[1]")],
+                          {}, EXIT_CONFIG, "not a JSON object"),
+    "env-steps-not-int": (lambda d, t: ["train", "--data", d],
+                          {"DUINNET_STEPS": "abc"}, EXIT_CONFIG, "--steps"),
+    "gen-no-mesh-dir": (lambda d, t: ["gen"], {}, EXIT_CONFIG, "--mesh-dir"),
+    "train-no-data": (lambda d, t: ["train"], {}, EXIT_CONFIG, "--data"),
+    "eval-no-data": (lambda d, t: ["eval"], {}, EXIT_CONFIG, "--data"),
+    "ablate-no-data": (lambda d, t: ["ablate"], {}, EXIT_CONFIG, "--data"),
+    "eval-no-manifest": (lambda d, t: ["eval", "--data", t], {}, EXIT_DATA, "manifest.json"),
+    "eval-manifest-not-object": (lambda d, t: ["eval", "--data",
+                                               _write(t / "manifest.json", "[]").parent],
+                                 {}, EXIT_DATA, "JSON object"),
+    "eval-missing-checkpoint": (lambda d, t: ["eval", "--data", d,
+                                              "--checkpoint", t / "none.ckpt"],
+                                {}, EXIT_DATA, "none.ckpt"),
+    "train-missing-raster": (lambda d, t: ["train", "--data", _copy_without(d, t, "*.raster"),
+                                           "--steps", "1", "--limit", "2"],
+                             {}, EXIT_DATA, ".raster"),
+    "eval-missing-ply": (lambda d, t: ["eval", "--data", _copy_without(d, t, "*.ply")],
+                         {}, EXIT_DATA, ".ply"),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXIT_CASES), ids=list(_EXIT_CASES))
+def test_exit_code_without_traceback(cli_workspace, tmp_path, monkeypatch, capsys, case):
+    _, _, data = cli_workspace
+    argv, env, code, needle = _EXIT_CASES[case]
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    work = tmp_path / "work"
+    work.mkdir()
+    args = [str(a) for a in argv(data, work)] + ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and needle in err and "Traceback" not in err

@@ -365,6 +365,66 @@ def test_manifest_json_roundtrip(two_model_dataset):
     assert [r.record_id for r in again.records] == [r.record_id for r in manifest.records]
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12)
+_MANIFEST_DOC = json.loads(make_splits(synthetic_manifest(["chair", "bowl"], 2, 2)).to_json())
+_DELETE = object()
+
+
+def _mutated_manifest(path, value) -> str:
+    doc = json.loads(json.dumps(_MANIFEST_DOC))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+_MANIFEST_TEXTS = st.one_of(
+    st.text(max_size=40),
+    _JSON_VALUES.map(json.dumps),
+    st.builds(_mutated_manifest, st.sampled_from([
+        ("name",), ("config",), ("config_hash",), ("categories",), ("categories", 0),
+        ("records",), ("records", 0), ("records", 0, "viewpoint_id"),
+        ("records", 0, "category"), ("splits",), ("splits", "zeroshot"),
+        ("splits", "zeroshot", "test_unseen"), ("splits", "supervised", "train", 0),
+    ]), st.just(_DELETE) | _JSON_VALUES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_MANIFEST_TEXTS)
+def test_manifest_from_json_fuzz_raises_only_value_error(text):
+    try:
+        manifest = Manifest.from_json(text)
+    except ValueError:
+        return
+    for task, parts in manifest.splits.items():
+        for part in {*parts, "train", "test"}:
+            try:
+                records = split_records(manifest, task, part)
+            except ConfigError:
+                continue
+            assert all(isinstance(r.record_id, str) for r in records)
+
+
+@pytest.mark.parametrize("text,field", [
+    ("[1, 2]", "JSON object"),
+    (json.dumps({k: v for k, v in _MANIFEST_DOC.items() if k != "records"}), "'records'"),
+    (_mutated_manifest(("records", 0, "viewpoint_id"), "3"), "'viewpoint_id'"),
+    (_mutated_manifest(("records", 0), [1]), "record 0"),
+], ids=["not-object", "missing-key", "field-type", "record-not-object"])
+def test_manifest_from_json_names_the_bad_field(text, field):
+    with pytest.raises(ValueError, match=field):
+        Manifest.from_json(text)
+
+
 # -- splits ------------------------------------------------------------------------
 
 

@@ -528,6 +528,50 @@ def test_ply_malformed_raises_geometry_error(tmp_path, text):
         load_ply(path)
 
 
+@pytest.mark.parametrize("loader,text", [
+    (load_off, "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 -1 1 2\n"),
+    (load_off, "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999\n"),
+    (load_off, "OFF\n-1 0 0\n"),
+    (load_off, "OFF\n3 2 0\n0 0 0\n1 0 0\n0 1 0\n-1\n3 0 1 2\n"),
+    (load_off, "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 nan\n3 0 1 2\n"),
+    (load_ply, _PLY_HEAD + "0 0 0\n1 0 0\n0 1 0\n3 0 1 -2\n"),
+    (load_ply, "ply\nformat ascii 1.0\nelement vertex -1\nend_header\n0 0 0\n"),
+    (load_ply, "ply\nformat ascii 1.0\nelement vertex 2\nend_header\n0 0\n1 1\n"),
+], ids=["off-negative-index", "off-huge-index", "off-negative-count", "off-negative-corners",
+        "off-nan-vertex", "ply-negative-index", "ply-negative-count", "ply-two-coordinates"])
+def test_mesh_loaders_reject_bad_values(tmp_path, loader, text):
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    with pytest.raises(GeometryError):
+        loader(path)
+
+
+_MESH_TOKENS = st.one_of(
+    st.integers(-3, 6).map(str),
+    st.sampled_from(["0.5", "-0", "nan", "inf", "1e999", "x", "#", "99999999999999999999"]))
+_MESH_BLOBS = st.one_of(
+    st.binary(max_size=120),
+    st.builds(lambda head, rows: (head + "\n".join(" ".join(r) for r in rows)).encode(),
+              st.sampled_from(["OFF\n", "OFF3 ", _PLY_HEAD,
+                               "ply\nformat ascii 1.0\nelement vertex 2\nend_header\n"]),
+              st.lists(st.lists(_MESH_TOKENS, max_size=5), max_size=8)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=_MESH_BLOBS, loader=st.sampled_from([load_off, load_ply]))
+def test_mesh_loaders_fuzz_raise_only_documented_errors(tmp_path_factory, blob, loader):
+    path = tmp_path_factory.getbasetemp() / "fuzz.mesh"
+    path.write_bytes(blob)
+    try:
+        mesh = loader(path)
+    except (ValueError, GeometryError):
+        return
+    assert mesh.vertices.ndim == 2 and mesh.vertices.shape[1] == 3
+    assert np.isfinite(mesh.vertices).all()
+    assert mesh.faces.size == 0 or 0 <= mesh.faces.min() <= mesh.faces.max() < len(mesh.vertices)
+
+
 def test_cloud_ply_roundtrip(tmp_path):
     pts = np.random.default_rng(13).standard_normal((50, 3))
     path = tmp_path / "cloud.ply"

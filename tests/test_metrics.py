@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
-from helpers import chamfer_l1_oracle, chamfer_l2_oracle, fscore_oracle
+from helpers import (chamfer_l1_oracle, chamfer_l2_oracle, evaluate_pair_three_pass_oracle,
+                     fscore_oracle)
 
 from duinnet import metrics
 from duinnet.geometry import PointCloud
@@ -77,26 +79,11 @@ def test_oracle_parity_small_batch():
         assert metrics.fscore(p, q, 0.5) == pytest.approx(fscore_oracle(p, q, 0.5))
 
 
-def test_euclidean_convention_variants():
-    """The alternative reading applies one extra square root per term."""
-    rng = np.random.default_rng(4)
-    p, q = _pair(rng, 24, 40)
-    d_pq = np.sqrt(metrics.nearest_sq_dists(p, q))
-    d_qp = np.sqrt(metrics.nearest_sq_dists(q, p))
-    expect_l1 = 0.5 * np.sqrt(d_pq).mean() + 0.5 * np.sqrt(d_qp).mean()
-    assert metrics.chamfer_l1(p, q, norm_convention="euclidean") == pytest.approx(expect_l1)
-    expect_l2 = d_pq.mean() + d_qp.mean()
-    assert metrics.chamfer_l2(p, q, norm_convention="euclidean") == pytest.approx(expect_l2)
-    with pytest.raises(ValueError):
-        metrics.chamfer_l1(p, q, norm_convention="manhattan")
-
-
 def test_fscore_plain_threshold_scale():
     p = np.array([[0.0, 0.0, 0.0]])
     q = np.array([[0.05, 0.0, 0.0]])
-    # squared scale: 0.0025 >= 0.001 -> miss; plain scale: 0.05 < 0.1 -> hit
+    # the threshold is on the squared scale: 0.0025 >= 0.001 -> miss
     assert metrics.fscore(p, q, 0.001)[2] == 0.0
-    assert metrics.fscore(p, q, 0.1, squared_threshold=False)[2] == 1.0
 
 
 # -- properties ---------------------------------------------------------------------
@@ -138,6 +125,39 @@ def test_evaluate_pair_perfect_prediction():
     pts = np.random.default_rng(7).standard_normal((64, 3))
     rep = metrics.evaluate_pair(pts, pts)
     assert rep.cd_l1 == 0 and rep.cd_l2 == 0 and rep.fscore == 1
+
+
+_CLOUD = st.integers(1, 24).flatmap(
+    lambda n: arrays(np.float64, (n, 3), elements=st.sampled_from([-1.0, -0.5, 0.0, 0.25, 1.0])
+                     | st.floats(-2, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CLOUD, _CLOUD, st.data())
+def test_evaluate_pair_equals_three_pass_oracle(p, q, data):
+    """One nearest-neighbor pass each way gives every field of the former
+    three-pass body exactly, also at a threshold equal to a distance."""
+    dists = np.concatenate([metrics.nearest_sq_dists(p, q), metrics.nearest_sq_dists(q, p)])
+    positive = dists[dists > 0]
+    d = data.draw(st.sampled_from([0.001, 0.3] + sorted(set(positive.tolist()))))
+    got = metrics.evaluate_pair(p, q, d)
+    want = evaluate_pair_three_pass_oracle(p, q, d)
+    assert got == want
+    assert (metrics.chamfer_l1(p, q), metrics.chamfer_l2(p, q), metrics.fscore(p, q, d)) == \
+        (want.cd_l1, want.cd_l2, (want.precision, want.recall, want.fscore))
+
+
+def test_evaluate_pair_builds_two_trees(monkeypatch):
+    built = []
+
+    def counting_tree(pts):
+        built.append(len(pts))
+        return cKDTree(pts)
+
+    monkeypatch.setattr(metrics, "cKDTree", counting_tree)
+    p, q = _pair(np.random.default_rng(11), 20, 30)
+    metrics.evaluate_pair(p, q)
+    assert sorted(built) == [20, 30]
 
 
 def test_evaluate_batch_two_pair_arithmetic():

@@ -16,7 +16,7 @@ from helpers import (batch_norm_1d_stored_oracle, conv2d_im2col_oracle, gather_a
                      reduce_select_add_at_oracle)
 
 from duinnet import tensor as T
-from duinnet.gradcheck import check_fn
+from duinnet.gradcheck import PRIMITIVE_CHECKS, check_fn
 from duinnet.tensor import DimensionError, Tensor
 
 
@@ -215,33 +215,6 @@ def test_batch_norm_train_normalizes_batch():
 
 # -- gradients --------------------------------------------------------------------
 
-PRIMITIVE_CHECKS = [
-    ("add", lambda a, b: T.reduce_sum(T.add(a, b)), [(3, 4), (3, 4)]),
-    ("add_broadcast", lambda a, b: T.reduce_sum(T.add(a, b)), [(3, 4), (4,)]),
-    ("sub", lambda a, b: T.reduce_sum(T.sub(a, b)), [(3, 4), (3, 4)]),
-    ("mul", lambda a, b: T.reduce_sum(T.mul(a, b)), [(3, 4), (3, 4)]),
-    ("relu", lambda a: T.reduce_sum(T.relu(a)), [(4, 4)]),
-    ("sqrt_safe", lambda a: T.reduce_sum(T.sqrt_safe(T.add(T.mul(a, a), T.tensor(1.0)))),
-     [(4,)]),
-    ("matmul", lambda a, b: T.reduce_sum(T.matmul(a, b)), [(5, 4), (4, 3)]),
-    ("matmul_batched", lambda a, b: T.reduce_sum(T.mul(T.matmul(a, b), T.matmul(a, b))),
-     [(2, 5, 4), (2, 4, 3)]),
-    ("transpose", lambda a: T.reduce_sum(T.mul(T.transpose(a), T.transpose(a))), [(3, 5)]),
-    ("reshape", lambda a: T.reduce_sum(T.mul(T.reshape(a, (2, 6)), T.reshape(a, (2, 6)))),
-     [(3, 4)]),
-    ("concat", lambda a, b: T.reduce_sum(T.mul(T.concat([a, b], axis=0),
-                                               T.concat([a, b], axis=0))),
-     [(2, 3), (4, 3)]),
-    ("gather", lambda a: T.reduce_sum(T.gather(a, [0, 2, 2, 1], axis=0)), [(4, 3)]),
-    ("reduce_sum_axis", lambda a: T.reduce_sum(T.mul(T.reduce_sum(a, axis=1), T.tensor(2.0))),
-     [(3, 4)]),
-    ("reduce_mean", lambda a: T.reduce_mean(T.mul(a, a)), [(3, 4)]),
-    ("reduce_max", lambda a: T.reduce_sum(T.reduce_max(a, axis=1)[0]), [(4, 5)]),
-    ("reduce_min", lambda a: T.reduce_sum(T.reduce_min(a, axis=1)[0]), [(4, 5)]),
-    ("softmax", lambda a: T.reduce_sum(T.mul(a, T.softmax(a, axis=-1))), [(4, 7)]),
-]
-
-
 @pytest.mark.parametrize("name,fn,shapes", PRIMITIVE_CHECKS, ids=[c[0] for c in PRIMITIVE_CHECKS])
 def test_primitive_gradients(name, fn, shapes):
     rng = np.random.default_rng(hash(name) % 2**32)
@@ -398,6 +371,32 @@ def test_batch_norm_relu_node_keeps_only_channel_statistics(training):
     kept = [c for c in cells if isinstance(c, np.ndarray)]
     assert any(a is x.data for a in kept) and any(a is out.data for a in kept)
     assert all(a.shape == (8,) for a in kept if a is not x.data and a is not out.data)
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["bn", "bn_relu"])
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_batch_norm_over_leading_axes_matches_reshape_wrapped(training, relu):
+    """An (h, w, c) map is normalized as its (h * w, c) rows, bit for bit,
+    with no reshape node on either side of the batch norm."""
+    rng = np.random.default_rng(15)
+    xd, gd, bd, upstream = (rng.standard_normal(s).astype(np.float32)
+                            for s in ((5, 6, 4), (4,), (4,), (5, 6, 4)))
+    rm, rv = rng.standard_normal(4).astype(np.float32), rng.uniform(0.5, 2, 4).astype(np.float32)
+    results = []
+    for wrapped in (False, True):
+        x, gain, bias = (T.tensor(a, requires_grad=True) for a in (xd, gd, bd))
+        buffers = (rm.copy(), rv.copy())
+        if wrapped:
+            out = T.reshape(T.batch_norm_1d(T.reshape(x, (30, 4)), gain, bias, *buffers,
+                                            training, relu=relu), (5, 6, 4))
+        else:
+            out = T.batch_norm_1d(x, gain, bias, *buffers, training, relu=relu)
+        tape = T.reduce_sum(T.mul(out, T.tensor(upstream))).backward()
+        assert ("reshape" in {node._op for node in tape.entries}) == wrapped
+        results.append([out.data, x.grad, gain.grad, bias.grad, *buffers])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_batch_norm_eval_node_ignores_later_buffer_updates():
