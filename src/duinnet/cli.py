@@ -9,9 +9,11 @@ dataset file, mesh, raster or checkpoint), 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,6 @@ from . import datasetgen, geometry, metrics, tensor as T
 from .datasetgen import ConfigError, GenConfig, Manifest
 from .gradcheck import gradient_suite
 from .model import DuInNet, make_config, mini_config
-from .model.config import ConfigError as ModelConfigError
 from .training import TrainState, train_loop
 
 EXIT_OK = 0
@@ -29,45 +30,37 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 ENV_PREFIX = "DUINNET_"
+REQUIRED = object()  # declared default of an option that has none
 
 
-def _env(name: str):
-    return os.environ.get(ENV_PREFIX + name.upper().replace("-", "_"))
+def resolve_options(command: str, flags: dict) -> dict:
+    """Every option ``_COMMANDS`` declares for ``command``, resolved once.
 
-
-def _resolve(args, key: str, file_cfg: dict, default=None, cast=None, required=False):
-    """The first value set by flag, environment, config file or ``default``,
-    converted by ``cast``. A missing required value or a failed conversion
-    raises ``ConfigError`` naming the option."""
-    val = getattr(args, key, None)
-    if val is None:
-        val = _env(key)
-    if val is None:
-        val = file_cfg.get(key)
-    if val is None:
-        val = default
-    option = "--" + key.replace("_", "-")
-    if val is None:
-        if required:
+    The value is the first one set by flag, ``DUINNET_<NAME>`` environment
+    variable, config file or declared default, converted by the declared
+    type. A missing required value or one that does not convert raises
+    ``ConfigError`` naming the option.
+    """
+    values, file_cfg = {}, {}
+    for name, (kind, default) in _COMMANDS[command][2].items():
+        env = os.environ.get(ENV_PREFIX + name.upper())
+        val = next((v for v in (flags.get(name), env, file_cfg.get(name)) if v is not None),
+                   default)
+        option = "--" + name.replace("_", "-")
+        if val is REQUIRED:
             raise ConfigError(f"{option} is required")
-        return None
-    try:
-        return val if cast is None else cast(val)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {option} {val!r}: {exc}") from exc
+        try:
+            values[name] = None if val is None else kind(val)
+        except (TypeError, ValueError, OSError) as exc:
+            raise ConfigError(f"invalid {option} {val!r}: {exc}") from exc
+        if name == "config":  # declared first: the file supplies the options after it
+            file_cfg = values[name] or {}
+    return values
 
 
-def _load_file_cfg(args) -> dict:
-    path = getattr(args, "config", None) or _env("config")
-    if not path:
-        return {}
-    try:
-        cfg = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config file {path} is not a JSON object")
-    return cfg
+def _given(opts, names) -> dict:
+    """The options among ``names`` that are set; the rest keep the library's default."""
+    return {n: getattr(opts, n) for n in names if getattr(opts, n, None) is not None}
 
 
 # -- gen -------------------------------------------------------------------------
@@ -83,23 +76,14 @@ def _collect_meshes(mesh_dir: Path) -> dict[tuple[str, str], Path]:
     return out
 
 
-def cmd_gen(args) -> int:
-    file_cfg = _load_file_cfg(args)
-    mesh_dir = _resolve(args, "mesh_dir", file_cfg, cast=Path, required=True)
-    out = _resolve(args, "out", file_cfg, "dataset", cast=Path)
-    cfg = GenConfig(
-        n_points=_resolve(args, "n_points", file_cfg, 2048, cast=int),
-        n_viewpoints=_resolve(args, "n_viewpoints", file_cfg, 32, cast=int),
-        image_side=_resolve(args, "image_side", file_cfg, 224, cast=int),
-        noise_sigma=_resolve(args, "noise_sigma", file_cfg, 0.01, cast=float),
-        seed=_resolve(args, "seed", file_cfg, 0, cast=int),
-    )
-    meshes = _collect_meshes(mesh_dir)  # a missing directory raises OSError: exit 3
+def cmd_gen(o) -> int:
+    cfg = GenConfig(**_given(o, [f.name for f in fields(GenConfig)]))
+    meshes = _collect_meshes(o.mesh_dir)  # a missing directory raises OSError: exit 3
     if not meshes:
-        raise ValueError(f"no OFF/PLY meshes under {mesh_dir}")
-    manifest, report = datasetgen.generate_dataset(meshes, cfg, out)
+        raise ValueError(f"no OFF/PLY meshes under {o.mesh_dir}")
+    manifest, report = datasetgen.generate_dataset(meshes, cfg, o.out)
     datasetgen.make_splits(manifest)
-    manifest.save(out / "manifest.json")
+    manifest.save(o.out / "manifest.json")
     print(f"models: {report['models']}  records: {report['records']}  "
           f"excluded viewpoints: {len(report['excluded_viewpoints'])}  "
           f"mesh errors: {len(report['mesh_errors'])}")
@@ -111,9 +95,15 @@ def cmd_gen(args) -> int:
 
 def _load_samples(root: Path, manifest: Manifest, task: str, part: str, seed: int,
                   limit: int | None = None):
+    """A split's (partial, image, gt, record) samples. A ``limit`` keeps that
+    many records taken round-robin over categories, each in manifest order."""
     records = datasetgen.split_records(manifest, task, part)
     if limit:
-        records = records[:limit]
+        by_cat: dict[str, list] = {}
+        for rec in records:
+            by_cat.setdefault(rec.category, []).append(rec)
+        rows = itertools.zip_longest(*by_cat.values())
+        records = [rec for row in rows for rec in row if rec is not None][:limit]
     samples = []
     for rec, img_rec in datasetgen.pair_sampler(manifest, records, seed=seed):
         partial_path = rec.noisy_path if task == "denoising" else rec.partial_path
@@ -126,11 +116,8 @@ def _load_samples(root: Path, manifest: Manifest, task: str, part: str, seed: in
     return samples
 
 
-def _build_model(args, file_cfg: dict) -> DuInNet:
-    profile = _resolve(args, "profile", file_cfg, "mini")
-    n_img = _resolve(args, "n_img_blocks", file_cfg, cast=int)
-    cfg = make_config(profile, **({} if n_img is None else {"n_img_blocks": n_img}))
-    return DuInNet(cfg, seed=_resolve(args, "seed", file_cfg, 0, cast=int))
+def _build_model(o) -> DuInNet:
+    return DuInNet(make_config(o.profile, **_given(o, ["n_img_blocks"])), seed=o.seed)
 
 
 def _predict(model: DuInNet, samples) -> list[geometry.PointCloud]:
@@ -147,61 +134,41 @@ def _predict(model: DuInNet, samples) -> list[geometry.PointCloud]:
 # -- train ---------------------------------------------------------------------------
 
 
-def cmd_train(args) -> int:
-    file_cfg = _load_file_cfg(args)
-    root = _resolve(args, "data", file_cfg, cast=Path, required=True)
-    out = _resolve(args, "out", file_cfg, "run", cast=Path)
-    task = _resolve(args, "task", file_cfg, "supervised")
-    seed = _resolve(args, "seed", file_cfg, 0, cast=int)
-    steps = _resolve(args, "steps", file_cfg, 500, cast=int)
-    lr = _resolve(args, "lr", file_cfg, 1e-4, cast=float)
-    limit = _resolve(args, "limit", file_cfg, cast=int)
-    if task not in ("supervised", "denoising", "zeroshot"):
-        raise ConfigError(f"unknown task {task!r}")
-    manifest = Manifest.load(root / "manifest.json")
-    samples = _load_samples(root, manifest, task, "train", seed, limit)
+def cmd_train(o) -> int:
+    if o.task not in ("supervised", "denoising", "zeroshot"):
+        raise ConfigError(f"unknown task {o.task!r}")
+    manifest = Manifest.load(o.data / "manifest.json")
+    samples = _load_samples(o.data, manifest, o.task, "train", o.seed, o.limit)
     if not samples:
         raise ValueError("empty training split")
-    model = _build_model(args, file_cfg)
-    decay = _resolve(args, "decay_steps", file_cfg, "",
-                     cast=lambda v: tuple(int(s) for s in str(v).split(",") if s))
-    state = TrainState(model, lr=lr, decay_steps=decay)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt = out / "checkpoint.ckpt"
-    resume = _resolve(args, "resume", file_cfg)
-    if resume:
-        arrays = T.load_checkpoint(resume)  # unreadable: ValueError, exit 3
+    state = TrainState(_build_model(o), **_given(o, ["lr", "decay_steps"]))
+    o.out.mkdir(parents=True, exist_ok=True)
+    ckpt = o.out / "checkpoint.ckpt"
+    if o.resume:
+        arrays = T.load_checkpoint(o.resume)  # unreadable: ValueError, exit 3
         try:
             state.restore(arrays)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"cannot resume: {exc}") from exc
-    mode = "denoising" if task == "denoising" else "standard"
+    mode = "denoising" if o.task == "denoising" else "standard"
     triples = [(p.points, img, gt.points) for p, img, gt, _ in samples]
-    train_loop(state, triples, steps, mode=mode,
-               curve_path=out / "loss_curve.tsv", checkpoint_path=ckpt,
-               verbose=bool(getattr(args, "verbose", False)))
-    print(f"trained {steps} steps; checkpoint at {ckpt}")
+    train_loop(state, triples, o.steps, mode=mode,
+               curve_path=o.out / "loss_curve.tsv", checkpoint_path=ckpt, verbose=o.verbose)
+    print(f"trained {o.steps} steps; checkpoint at {ckpt}")
     return EXIT_OK
 
 
 # -- eval ---------------------------------------------------------------------------
 
 
-def cmd_eval(args) -> int:
-    file_cfg = _load_file_cfg(args)
-    root = _resolve(args, "data", file_cfg, cast=Path, required=True)
-    out = _resolve(args, "out", file_cfg, "run", cast=Path)
-    task = _resolve(args, "task", file_cfg, "supervised")
-    seed = _resolve(args, "seed", file_cfg, 0, cast=int)
-    limit = _resolve(args, "limit", file_cfg, cast=int)
-    manifest = Manifest.load(root / "manifest.json")
-    samples = _load_samples(root, manifest, task, "test", seed, limit)
+def cmd_eval(o) -> int:
+    manifest = Manifest.load(o.data / "manifest.json")
+    samples = _load_samples(o.data, manifest, o.task, "test", o.seed, o.limit)
     if not samples:
         raise ValueError("empty evaluation split")
-    model = _build_model(args, file_cfg)
-    ckpt = _resolve(args, "checkpoint", file_cfg)
-    if ckpt:
-        arrays = T.load_checkpoint(ckpt)
+    model = _build_model(o)
+    if o.checkpoint:
+        arrays = T.load_checkpoint(o.checkpoint)
         try:
             model.load_state_dict(arrays)
         except (KeyError, ValueError) as exc:
@@ -211,7 +178,7 @@ def cmd_eval(args) -> int:
     cats = [metrics.category_of(gt) for gt in gts]
     report = metrics.summarize(reports, cats)
     extra = None
-    if task == "zeroshot":
+    if o.task == "zeroshot":
         unseen = set(manifest.splits["zeroshot"].get("unseen_categories", []))
         extra = {}
         for label, want in (("Mean(seen)", False), ("Mean(unseen)", True)):
@@ -220,9 +187,9 @@ def cmd_eval(args) -> int:
                 r = metrics.summarize([reports[i] for i in idxs], [cats[i] for i in idxs])
                 extra[label] = {"cd_l1": r.cd_l1, "cd_l2": r.cd_l2, "fscore": r.fscore}
     table = metrics.format_table(report, extra)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "eval_table.tsv").write_text(table + "\n")
-    (out / "eval_report.json").write_text(json.dumps({
+    o.out.mkdir(parents=True, exist_ok=True)
+    (o.out / "eval_table.tsv").write_text(table + "\n")
+    (o.out / "eval_report.json").write_text(json.dumps({
         "mean": {"cd_l1": report.cd_l1, "cd_l2": report.cd_l2, "fscore": report.fscore,
                  "precision": report.precision, "recall": report.recall},
         "per_category": report.per_category,
@@ -236,44 +203,35 @@ def cmd_eval(args) -> int:
 # -- ablate ----------------------------------------------------------------------
 
 
-def cmd_ablate(args) -> int:
-    file_cfg = _load_file_cfg(args)
-    root = _resolve(args, "data", file_cfg, cast=Path, required=True)
-    out = _resolve(args, "out", file_cfg, "ablation", cast=Path)
-    seed = _resolve(args, "seed", file_cfg, 0, cast=int)
-    steps = _resolve(args, "steps", file_cfg, 50, cast=int)
-    limit = _resolve(args, "limit", file_cfg, cast=int) or 4
-    partitions = _resolve(args, "partitions", file_cfg, "0/4,2/2,4/0",
-                          cast=lambda v: [(int(a), int(b)) for a, b in
-                                          (p.split("/") for p in str(v).split(","))])
-    sums = {a + b for a, b in partitions}
+def cmd_ablate(o) -> int:
+    sums = {a + b for a, b in o.partitions}
     if len(sums) != 1:
         raise ConfigError(f"partitions disagree on total block count: {sorted(sums)}")
     n_blocks = sums.pop()
     base = mini_config()
     if base.N % n_blocks:
         raise ConfigError(f"{n_blocks} blocks do not divide N={base.N}")
-    manifest = Manifest.load(root / "manifest.json")
-    splits = {task: [_load_samples(root, manifest, task, part, seed, limit)
+    manifest = Manifest.load(o.data / "manifest.json")
+    splits = {task: [_load_samples(o.data, manifest, task, part, o.seed, o.limit)
                      for part in ("train", "test")]
               for task in ("supervised", "denoising", "zeroshot")}
     if not all(all(parts) for parts in splits.values()):
         raise ValueError("empty split for ablation")
     rows = ["n_img\tn_pc\ttask\tCD-l1(x1e-3)\tCD-l2(x1e-3)\tFS"]
-    for n_img, n_pc in partitions:
+    for n_img, n_pc in o.partitions:
         for task, (train, test) in splits.items():
             cfg = mini_config(n_blocks=n_blocks, n_img_blocks=n_img,
                               block_points=base.N // n_blocks)
-            model = DuInNet(cfg, seed=seed)
-            state = TrainState(model, lr=1e-4)
+            model = DuInNet(cfg, seed=o.seed)
+            state = TrainState(model)
             mode = "denoising" if task == "denoising" else "standard"
             triples = [(p.points, img, gt.points) for p, img, gt, _ in train]
-            train_loop(state, triples, steps, mode=mode)
+            train_loop(state, triples, o.steps, mode=mode)
             rep = metrics.evaluate_batch(_predict(model, test), [gt for _, _, gt, _ in test])
             rows.append(f"{n_img}\t{n_pc}\t{task}\t{rep.cd_l1 * 1e3:.3f}\t"
                         f"{rep.cd_l2 * 1e3:.3f}\t{rep.fscore:.3f}")
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "ablation_table.tsv").write_text("\n".join(rows) + "\n")
+    o.out.mkdir(parents=True, exist_ok=True)
+    (o.out / "ablation_table.tsv").write_text("\n".join(rows) + "\n")
     print("\n".join(rows))
     return EXIT_OK
 
@@ -281,8 +239,8 @@ def cmd_ablate(args) -> int:
 # -- gradcheck ----------------------------------------------------------------------
 
 
-def cmd_gradcheck(args) -> int:
-    rng = np.random.default_rng(int(getattr(args, "seed", 0) or 0))
+def cmd_gradcheck(o) -> int:
+    rng = np.random.default_rng(o.seed)
     failures = 0
     for name, err, tol in gradient_suite(rng):
         ok = err < tol
@@ -294,46 +252,67 @@ def cmd_gradcheck(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-# subcommand: (help, handler, string flags, typed flags); "--n-points" sets args.n_points
+def _json_object(path) -> dict:
+    """The JSON object in the file at ``path``; an empty path names no file."""
+    cfg = json.loads(Path(path).read_text()) if path else {}
+    if not isinstance(cfg, dict):
+        raise ValueError("not a JSON object")
+    return cfg
+
+
+def _int_tuple(v) -> tuple[int, ...]:
+    return tuple(int(s) for s in str(v).split(",") if s)
+
+
+def _partitions(v) -> list[tuple[int, int]]:
+    return [(int(a), int(b)) for a, b in (p.split("/") for p in str(v).split(","))]
+
+
+# subcommand: (help, handler, {option: (type, default)}). Option "n_points" is
+# the flag --n-points and the variable DUINNET_N_POINTS; a None default leaves
+# the value to the library's own default. "config" comes first, because the
+# JSON file it names supplies the options after it.
 _COMMANDS = {
-    "gen": ("synthesize a dataset tree from CAD meshes", cmd_gen,
-            ("--mesh-dir", "--out", "--config"),
-            {"--seed": int, "--n-points": int, "--n-viewpoints": int, "--image-side": int,
-             "--noise-sigma": float}),
-    "train": ("train the completion model", cmd_train,
-              ("--data", "--out", "--config", "--task", "--profile", "--resume", "--decay-steps"),
-              {"--seed": int, "--steps": int, "--limit": int, "--lr": float,
-               "--n-img-blocks": int}),
-    "eval": ("evaluate a checkpoint on a test split", cmd_eval,
-             ("--data", "--out", "--config", "--task", "--profile", "--checkpoint"),
-             {"--seed": int, "--limit": int, "--n-img-blocks": int}),
-    "ablate": ("sweep generator block partitions", cmd_ablate,
-               ("--data", "--out", "--config", "--partitions"),
-               {"--seed": int, "--steps": int, "--limit": int}),
-    "gradcheck": ("finite-difference gradient verification", cmd_gradcheck, (), {"--seed": int}),
+    "gen": ("synthesize a dataset tree from CAD meshes", cmd_gen, {
+        "config": (_json_object, None), "mesh_dir": (Path, REQUIRED), "out": (Path, "dataset"),
+        "seed": (int, None), "n_points": (int, None), "n_viewpoints": (int, None),
+        "image_side": (int, None), "noise_sigma": (float, None)}),
+    "train": ("train the completion model", cmd_train, {
+        "config": (_json_object, None), "data": (Path, REQUIRED), "out": (Path, "run"),
+        "task": (str, "supervised"), "profile": (str, "mini"), "resume": (str, None),
+        "decay_steps": (_int_tuple, None), "seed": (int, 0), "steps": (int, 500),
+        "limit": (int, None), "lr": (float, None), "n_img_blocks": (int, None)}),
+    "eval": ("evaluate a checkpoint on a test split", cmd_eval, {
+        "config": (_json_object, None), "data": (Path, REQUIRED), "out": (Path, "run"),
+        "task": (str, "supervised"), "profile": (str, "mini"), "checkpoint": (str, None),
+        "seed": (int, 0), "limit": (int, None), "n_img_blocks": (int, None)}),
+    "ablate": ("sweep generator block partitions", cmd_ablate, {
+        "config": (_json_object, None), "data": (Path, REQUIRED), "out": (Path, "ablation"),
+        "partitions": (_partitions, "0/4,2/2,4/0"), "seed": (int, 0), "steps": (int, 50),
+        "limit": (int, 4)}),
+    "gradcheck": ("finite-difference gradient verification", cmd_gradcheck, {"seed": (int, 0)}),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="duinnet", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, func, flags, typed) in _COMMANDS.items():
+    for name, (help_text, _, options) in _COMMANDS.items():
         c = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            c.add_argument(flag)
-        for flag, kind in typed.items():
-            c.add_argument(flag, type=kind)
+        for option in options:
+            c.add_argument("--" + option.replace("_", "-"))
         if name == "train":
             c.add_argument("--verbose", action="store_true")
-        c.set_defaults(func=func)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ModelConfigError, ConfigError) as exc:
+        opts = resolve_options(args.command, vars(args))
+        handler = _COMMANDS[args.command][1]
+        return handler(argparse.Namespace(**opts, verbose=getattr(args, "verbose", False)))
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (geometry.GeometryError, ValueError, OSError) as exc:

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import GeometryError, HPRConfig, PointCloud, TriMesh
+from .model.config import ConfigError
 
 UNSEEN_CATEGORIES = (
     "bowl", "cup", "curtain", "keyboard", "radio",
@@ -39,10 +40,6 @@ UNSEEN_CATEGORIES = (
 )
 
 _RASTER_MAGIC = b"PCIMG1\n"
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass

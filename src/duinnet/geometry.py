@@ -216,20 +216,18 @@ def sample_on_mesh(mesh: TriMesh, n: int, rng: np.random.Generator):
     return pts, fid, bary
 
 
-def poisson_disk_sample(mesh: TriMesh, n: int, seed: int = 0, oversample: int = 10) -> PointCloud:
+def poisson_disk_sample(mesh: TriMesh, n: int, seed: int = 0) -> PointCloud:
     """Exactly n blue-noise points on the mesh surface.
 
-    Oversamples uniformly by area, then greedily eliminates the most crowded
-    samples until n survive (Yuksel 2015, "Sample Elimination for Generating
-    Poisson Disk Sample Sets"; see ``_eliminate_samples``). The target
-    separation is r = sqrt(area / (2*sqrt(3)*n)), the hex-packing radius.
+    Draws 10n samples uniformly by area, then greedily eliminates the most
+    crowded samples until n survive (Yuksel 2015, "Sample Elimination for
+    Generating Poisson Disk Sample Sets"; see ``_eliminate_samples``). The
+    target separation is r = sqrt(area / (2*sqrt(3)*n)), the hex-packing radius.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    pts, _, _ = sample_on_mesh(mesh, max(n * oversample, n), rng)
-    if n == len(pts):
-        return PointCloud(pts)
+    pts, _, _ = sample_on_mesh(mesh, 10 * n, rng)
     area = mesh.face_areas().sum()
     r_target = np.sqrt(area / (2 * np.sqrt(3.0) * n))
     keep = _eliminate_samples(pts, n, 2.0 * r_target)
@@ -348,8 +346,7 @@ def add_gaussian_noise(cloud: PointCloud, sigma: float, seed: int = 0) -> PointC
     return cloud.with_points(cloud.points + noise, noisy=True)
 
 
-def resample_to(cloud: PointCloud, n: int, seed: int = 0,
-                seed_rule: str = "first_index") -> PointCloud:
+def resample_to(cloud: PointCloud, n: int, seed: int = 0) -> PointCloud:
     """FPS-subsample down to n, or pad by seeded duplication up to n."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -357,7 +354,7 @@ def resample_to(cloud: PointCloud, n: int, seed: int = 0,
     if len(pts) == n:
         return cloud.with_points(pts.copy())
     if len(pts) > n:
-        return cloud.with_points(pts[fps(pts, n, seed_rule=seed_rule)])
+        return cloud.with_points(pts[fps(pts, n)])
     rng = np.random.default_rng(seed)
     extra = rng.integers(0, len(pts), size=n - len(pts))
     return cloud.with_points(np.vstack([pts, pts[extra]]))

@@ -14,11 +14,11 @@ class CrossAttentionBlock(Module):
 
     q_src rows attend over kv_src rows; the first residual adds the projected
     query (not the raw source), then layer norm, then a position-wise
-    feed-forward with a second residual + norm. Self-attention is the
-    q_src == kv_src case.
+    feed-forward (width 2C) with a second residual + norm. Self-attention is
+    the q_src == kv_src case.
     """
 
-    def __init__(self, C: int, heads: int, rng: np.random.Generator, ffn_mult: int = 2):
+    def __init__(self, C: int, heads: int, rng: np.random.Generator):
         if C % heads:
             raise T.DimensionError(f"attention width C={C} not divisible by heads={heads}")
         self.C = C
@@ -29,8 +29,8 @@ class CrossAttentionBlock(Module):
         self.out_proj = Linear(C, C, rng)
         self.norm1 = LayerNorm(C)
         self.norm2 = LayerNorm(C)
-        self.ffn1 = Linear(C, ffn_mult * C, rng)
-        self.ffn2 = Linear(ffn_mult * C, C, rng)
+        self.ffn1 = Linear(C, 2 * C, rng)
+        self.ffn2 = Linear(2 * C, C, rng)
         self.last_attn: np.ndarray | None = None  # (H, M, L) weights, diagnostics only
 
     def __call__(self, q_src: Tensor, kv_src: Tensor) -> Tensor:
@@ -58,10 +58,10 @@ class CrossAttentionBlock(Module):
 class InteractorPath(Module):
     """CA1 (attend to the other modality) -> SA -> CA2 (attend to own input)."""
 
-    def __init__(self, C: int, heads: int, rng: np.random.Generator, ffn_mult: int = 2):
-        self.ca1 = CrossAttentionBlock(C, heads, rng, ffn_mult)
-        self.sa = CrossAttentionBlock(C, heads, rng, ffn_mult)
-        self.ca2 = CrossAttentionBlock(C, heads, rng, ffn_mult)
+    def __init__(self, C: int, heads: int, rng: np.random.Generator):
+        self.ca1 = CrossAttentionBlock(C, heads, rng)
+        self.sa = CrossAttentionBlock(C, heads, rng)
+        self.ca2 = CrossAttentionBlock(C, heads, rng)
 
     def __call__(self, own: Tensor, other: Tensor) -> Tensor:
         x = self.ca1(own, other)
@@ -72,9 +72,9 @@ class InteractorPath(Module):
 class DualFeatureInteractor(Module):
     """Two symmetric, independently parameterized interaction paths."""
 
-    def __init__(self, C: int, heads: int, rng: np.random.Generator, ffn_mult: int = 2):
-        self.pc_path = InteractorPath(C, heads, rng, ffn_mult)
-        self.img_path = InteractorPath(C, heads, rng, ffn_mult)
+    def __init__(self, C: int, heads: int, rng: np.random.Generator):
+        self.pc_path = InteractorPath(C, heads, rng)
+        self.img_path = InteractorPath(C, heads, rng)
 
     def __call__(self, f_pc: Tensor, f_img: Tensor) -> tuple[Tensor, Tensor]:
         return self.pc_path(f_pc, f_img), self.img_path(f_img, f_pc)

@@ -20,9 +20,6 @@ class ModelConfig:
     n_img_blocks: int = 8       # blocks fed by image features (N_img)
     block_points: int = 128     # points emitted per block
     image_side: int = 224
-    ffn_mult: int = 2
-    profile: str = "paper"
-    fps_seed_rule: str = "farthest_from_centroid"
 
     def __post_init__(self):
         if self.n_blocks * self.block_points != self.N:
@@ -63,12 +60,12 @@ class ModelConfig:
 
 
 def paper_config(**overrides) -> ModelConfig:
-    return ModelConfig(profile="paper", **overrides)
+    return ModelConfig(**overrides)
 
 
 def mini_config(**overrides) -> ModelConfig:
     base = dict(C=32, N=256, k=8, heads=4, n_blocks=4, n_img_blocks=2,
-                block_points=64, image_side=32, profile="mini")
+                block_points=64, image_side=32)
     base.update(overrides)
     return ModelConfig(**base)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .. import geometry, tensor as T
 from ..nn import BatchNorm1d, Conv2d, Linear, Module
 from ..tensor import Tensor
-from .config import ConfigError, ModelConfig
+from .config import ModelConfig
 
 
 class SharedMLP(Module):
@@ -38,16 +38,15 @@ class SetAbstraction(Module):
     """Downsample by ``stride`` via FPS; aggregate k-neighborhoods by max pool."""
 
     def __init__(self, in_dim: int, out_dim: int, k: int, stride: int,
-                 rng: np.random.Generator, seed_rule: str):
+                 rng: np.random.Generator):
         self.mlp = SharedMLP(in_dim + 3, out_dim, rng)
         self.k = k
         self.stride = stride
-        self.seed_rule = seed_rule
 
     def __call__(self, points: np.ndarray, feats: Tensor):
         n = len(points)
         m = n // self.stride
-        center_idx = geometry.fps(points, m, seed_rule=self.seed_rule)
+        center_idx = geometry.fps(points, m, seed_rule="farthest_from_centroid")
         centers = points[center_idx]
         nbr = geometry.knn(points, centers, min(self.k, n))  # (m, k)
         k = nbr.shape[1]
@@ -101,12 +100,10 @@ class PointEncoder(Module):
     """N x 3 coordinates -> N/16 x C tokens."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
-        if cfg.N % 16:
-            raise ConfigError(f"point count {cfg.N} not divisible by 16")
         half = cfg.C // 2
-        self.sab1 = SetAbstraction(3, half, cfg.k, 4, rng, cfg.fps_seed_rule)
+        self.sab1 = SetAbstraction(3, half, cfg.k, 4, rng)
         self.pt1 = PointTransformerLayer(half, cfg.k, rng)
-        self.sab2 = SetAbstraction(half, cfg.C, cfg.k, 4, rng, cfg.fps_seed_rule)
+        self.sab2 = SetAbstraction(half, cfg.C, cfg.k, 4, rng)
         self.pt2 = PointTransformerLayer(cfg.C, cfg.k, rng)
 
     def __call__(self, points: np.ndarray) -> Tensor:

@@ -42,8 +42,7 @@ def completion_loss(p_gen1: Tensor, p_gen2: Tensor, p_gt, mode: str = "standard"
     raise ValueError(f"unknown loss mode {mode!r}")
 
 
-def assemble_outputs(p_gen1: Tensor, p_in: np.ndarray, n: int,
-                     seed_rule: str = "first_index") -> Tensor:
+def assemble_outputs(p_gen1: Tensor, p_in: np.ndarray, n: int) -> Tensor:
     """Concatenate the input partial with the generated cloud and FPS to n points.
 
     The partial rows are constants; FPS indices are treated as constants, so
@@ -54,7 +53,7 @@ def assemble_outputs(p_gen1: Tensor, p_in: np.ndarray, n: int,
         cat = T.concat([T.tensor(p_in), p_gen1], axis=0)
     else:
         cat = p_gen1
-    idx = geometry.fps(cat.data, n, seed_rule=seed_rule)
+    idx = geometry.fps(cat.data, n)
     return T.gather(cat, idx, axis=0)
 
 
@@ -71,7 +70,7 @@ class DuInNet(Module):
         self.cfg = cfg
         self.point_encoder = PointEncoder(cfg, rng)
         self.image_encoder = ImageEncoder(cfg, rng)
-        self.dfi = DualFeatureInteractor(cfg.C, cfg.heads, rng, cfg.ffn_mult)
+        self.dfi = DualFeatureInteractor(cfg.C, cfg.heads, rng)
         self.apg = AdaptivePointGenerator(cfg, rng)
 
     def forward(self, partial, image) -> dict:

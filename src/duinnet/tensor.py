@@ -164,7 +164,7 @@ class no_grad:
 
 def _make(out_data: np.ndarray, op: str, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(out_data)
-    if _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._op = op
         out._parents = tuple(parents)
@@ -192,9 +192,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bw(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
     return _make(a.data + b.data, "add", (a, b), bw)
@@ -204,9 +204,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bw(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(-_unbroadcast(g, b.shape))
 
     return _make(a.data - b.data, "sub", (a, b), bw)
@@ -216,9 +216,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bw(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _make(a.data * b.data, "mul", (a, b), bw)
@@ -257,9 +257,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
 
     def bw(g):
-        if a.requires_grad or a._parents:
+        if a.requires_grad:
             a._accumulate(g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad or b._parents:
+        if b.requires_grad:
             b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(a.data @ b.data, "matmul", (a, b), bw)
@@ -291,7 +291,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def bw(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._parents:
+            if t.requires_grad:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(sl)])
@@ -398,11 +398,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     n = x.shape[-1]
 
     def bw(g):
-        if gain.requires_grad or gain._parents:
+        if gain.requires_grad:
             gain._accumulate(_unbroadcast(g * xhat, gain.shape))
-        if bias.requires_grad or bias._parents:
+        if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
-        if x.requires_grad or x._parents:
+        if x.requires_grad:
             gx = g * gain.data
             t1 = gx.sum(axis=-1, keepdims=True)
             t2 = (gx * xhat).sum(axis=-1, keepdims=True)
@@ -468,16 +468,14 @@ def batch_norm_1d(
         g = g.reshape(-1, c)
         if relu:
             g = g * (out_data.reshape(-1, c) > 0)
-        need_gain = gain.requires_grad or gain._parents
-        need_x = x.requires_grad or x._parents
-        if need_gain or (need_x and training):
+        if gain.requires_grad or (x.requires_grad and training):
             xhat = normalized(g)
             prod = g * xhat
-        if need_gain:
+        if gain.requires_grad:
             gain._accumulate(prod.sum(axis=0))
-        if bias.requires_grad or bias._parents:
+        if bias.requires_grad:
             bias._accumulate(g.sum(axis=0))
-        if need_x:
+        if x.requires_grad:
             # the masked g is this closure's own: scale it in place
             gx = np.multiply(g, gain.data, out=g if relu else None)
             if training:  # inv * (gx - mean(gx) - xhat * mean(gx * xhat))
@@ -549,19 +547,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
     parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):
-        if b is not None and (b.requires_grad or b._parents):
+        if b is not None and b.requires_grad:
             b._accumulate(g.reshape(Ho * Wo, Cout).sum(axis=0))
-        need_w = w.requires_grad or w._parents
-        need_x = x.requires_grad or x._parents
-        if not (need_w or need_x):
+        if not (w.requires_grad or x.requires_grad):
             return
         gq = np.zeros((Ho, Wq, Cout), dtype=g.dtype)
         gq[:, :Wo] = g
         gq = gq.reshape(n, Cout)
-        if need_w:
+        if w.requires_grad:
             w._accumulate(np.stack([xq[k, r : r + n].T @ gq for k, r, _ in taps])
                           .reshape(w.shape))
-        if need_x:
+        if x.requires_grad:
             dxq = np.zeros_like(xq)
             prod = np.empty((n, Cin), dtype=np.result_type(gq, w.data))
             for k, r, wij in taps:

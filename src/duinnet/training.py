@@ -95,12 +95,13 @@ class TrainState:
 
 
 def train_loop(state: TrainState, samples, steps: int, mode: str = "standard",
-               curve_path=None, checkpoint_path=None, checkpoint_every: int = 100,
-               log_every: int = 25, verbose: bool = False) -> list[tuple[int, float]]:
+               curve_path=None, checkpoint_path=None,
+               verbose: bool = False) -> list[tuple[int, float]]:
     """Cycle through ``samples`` (list of (partial, image, gt)) in order.
 
-    Appends (step, loss) rows to the curve file as it goes; a non-finite
-    loss raises FloatingPointError from ``TrainState.train_step``.
+    Appends (step, loss) rows to the curve file as it goes and checkpoints
+    every 100 steps; a non-finite loss raises FloatingPointError from
+    ``TrainState.train_step``.
     """
     curve: list[tuple[int, float]] = []
     f = open(curve_path, "a") if curve_path else None
@@ -112,9 +113,9 @@ def train_loop(state: TrainState, samples, steps: int, mode: str = "standard",
             curve.append((step, loss))
             if f:
                 f.write(f"{step}\t{loss:.8g}\n")
-            if verbose and step % log_every == 0:
+            if verbose and step % 25 == 0:
                 print(f"step {step}  loss {loss:.6f}")
-            if checkpoint_path and state.step % checkpoint_every == 0:
+            if checkpoint_path and state.step % 100 == 0:
                 state.save(checkpoint_path)
     finally:
         if f:

@@ -13,9 +13,10 @@ import pytest
 
 from helpers import box_mesh, save_off, uv_sphere
 
-from duinnet import metrics, tensor as T
-from duinnet.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, _load_samples, main
-from duinnet.datasetgen import Manifest
+from duinnet import cli, metrics, tensor as T
+from duinnet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, REQUIRED, _COMMANDS,
+                         _load_samples, main, resolve_options)
+from duinnet.datasetgen import ConfigError, Manifest, split_records
 from duinnet.gradcheck import PRIMITIVE_CHECKS
 from duinnet.model import DuInNet, make_config
 
@@ -87,6 +88,19 @@ def test_gen_degenerate_mesh_reported_without_failing(tmp_path):
     report = json.loads((out / "generation_report.json").read_text())
     assert len(report["mesh_errors"]) == 1
     assert report["mesh_errors"][0]["model_id"] == "chair_0002"
+
+
+def test_limit_takes_categories_round_robin(cli_workspace):
+    _, _, data = cli_workspace
+    manifest = Manifest.load(data / "manifest.json")
+    records = split_records(manifest, "zeroshot", "test")
+    for limit in range(1, len(records) + 1):
+        got = [rec for *_, rec in _load_samples(data, manifest, "zeroshot", "test", 0, limit)]
+        cats = [rec.category for rec in got]
+        assert len(got) == limit and abs(cats.count("bowl") - cats.count("chair")) <= 1
+        for cat in set(cats):  # each category's first records, in manifest order
+            assert [r for r in got if r.category == cat] == \
+                [r for r in records if r.category == cat][:cats.count(cat)]
 
 
 # -- train -------------------------------------------------------------------------
@@ -370,6 +384,51 @@ def test_flag_beats_env_beats_file(cli_workspace, monkeypatch, tmp_path):
                  "--config", str(cfg), "--profile", "mini", "--seed", "0",
                  "--steps", "1"]) == EXIT_OK
     assert len((run2 / "loss_curve.tsv").read_text().strip().splitlines()) == 1
+
+
+# three distinct raw values per declared type: for flag, environment, config file
+_RAW = {int: ("1", "2", "3"), float: ("0.5", "0.25", "0.125"), str: ("a", "b", "c"),
+        Path: ("a", "b", "c"), cli._int_tuple: ("1", "1,2", "3"),
+        cli._partitions: ("1/1", "2/0", "0/2")}
+_OPTIONS = [(cmd, name) for cmd, (_, _, options) in _COMMANDS.items() for name in options]
+
+
+@pytest.mark.parametrize("command,name", _OPTIONS, ids=[f"{c}-{n}" for c, n in _OPTIONS])
+def test_option_precedence(command, name, tmp_path, monkeypatch):
+    """Flag beats DUINNET_<NAME>, which beats the config file, which beats the
+    declared default; a value that does not convert names the option."""
+    options = _COMMANDS[command][2]
+    for other in options:
+        monkeypatch.delenv("DUINNET_" + other.upper(), raising=False)
+    kind, default = options[name]
+    env, option = "DUINNET_" + name.upper(), "--" + name.replace("_", "-")
+    flags = {n: "x" for n, (_, d) in options.items() if d is REQUIRED and n != name}
+    if name == "config":  # the file it names sets --seed
+        flag_raw, env_raw = (str(_write(tmp_path / f"{i}.json", f'{{"seed": {i}}}'))
+                             for i in (1, 2))
+        expect = [{"seed": 1}, {"seed": 2}]
+    else:
+        flag_raw, env_raw, file_raw = _RAW[kind]
+        expect = [kind(flag_raw), kind(env_raw), kind(file_raw)]
+        if "config" in options:
+            flags["config"] = str(_write(tmp_path / "cfg.json", json.dumps({name: file_raw})))
+    monkeypatch.setenv(env, env_raw)
+    assert resolve_options(command, {**flags, name: flag_raw})[name] == expect[0]
+    assert resolve_options(command, flags)[name] == expect[1]
+    monkeypatch.delenv(env)
+    if "config" in flags:
+        assert resolve_options(command, flags)[name] == expect[2]
+        del flags["config"]
+    if default is REQUIRED:
+        with pytest.raises(ConfigError, match=f"{option} is required"):
+            resolve_options(command, flags)
+    else:
+        assert resolve_options(command, flags)[name] == (None if default is None
+                                                         else kind(default))
+    if kind not in (str, Path, cli._json_object):
+        monkeypatch.setenv(env, "abc")
+        with pytest.raises(ConfigError, match=f"invalid {option} 'abc'"):
+            resolve_options(command, flags)
 
 
 def test_missing_config_file_is_config_error(cli_workspace, tmp_path):

@@ -467,7 +467,8 @@ def test_network_attention_row_stochastic_everywhere():
 
 
 def test_backward_frees_every_intermediate_gradient():
-    """After backward only the root and the leaves hold a gradient."""
+    """After backward only the root and the leaves hold a gradient, and every
+    taped non-leaf node requires grad."""
     model = DuInNet(mini_config(), seed=6)
     rng = np.random.default_rng(17)
     out = model(rng.standard_normal((100, 3)) * 0.3, rng.random((32, 32, 3)))
@@ -477,6 +478,7 @@ def test_backward_frees_every_intermediate_gradient():
     inner = [node for node in tape.entries if node._parents and node is not loss]
     leaves = [node for node in tape.entries if node.requires_grad and not node._parents]
     assert len(inner) > 100 and len(leaves) == len(model.parameters())
+    assert all(node.requires_grad for node in tape.entries if node._parents)
     assert all(node.grad is None for node in inner)
     assert all(node.grad is not None for node in leaves)
 
