@@ -82,6 +82,10 @@ def cmd_gen(o) -> int:
     if not meshes:
         raise ValueError(f"no OFF/PLY meshes under {o.mesh_dir}")
     manifest, report = datasetgen.generate_dataset(meshes, cfg, o.out)
+    if not manifest.records:
+        errors = report["mesh_errors"]
+        why = f"{errors[0]['path']}: {errors[0]['error']}" if errors else "every view excluded"
+        raise ValueError(f"no record written to {o.out}: {why}")
     datasetgen.make_splits(manifest)
     manifest.save(o.out / "manifest.json")
     print(f"models: {report['models']}  records: {report['records']}  "
@@ -253,11 +257,22 @@ def cmd_gradcheck(o) -> int:
 
 
 def _json_object(path) -> dict:
-    """The JSON object in the file at ``path``; an empty path names no file."""
+    """The JSON object in the file at ``path``, each key an option of some
+    subcommand, so one file can serve several; an empty path names no file."""
     cfg = json.loads(Path(path).read_text()) if path else {}
     if not isinstance(cfg, dict):
         raise ValueError("not a JSON object")
+    unknown = sorted(set(cfg) - {n for _, _, options in _COMMANDS.values() for n in options})
+    if unknown:
+        raise ValueError(f"keys that name no option: {', '.join(unknown)}")
     return cfg
+
+
+def _count(v) -> int:
+    n = int(v)
+    if n < 0:
+        raise ValueError("must be a non-negative integer")
+    return n
 
 
 def _int_tuple(v) -> tuple[int, ...]:
@@ -275,22 +290,23 @@ def _partitions(v) -> list[tuple[int, int]]:
 _COMMANDS = {
     "gen": ("synthesize a dataset tree from CAD meshes", cmd_gen, {
         "config": (_json_object, None), "mesh_dir": (Path, REQUIRED), "out": (Path, "dataset"),
-        "seed": (int, None), "n_points": (int, None), "n_viewpoints": (int, None),
-        "image_side": (int, None), "noise_sigma": (float, None)}),
+        "seed": (_count, None), "n_points": (_count, None), "n_viewpoints": (_count, None),
+        "image_side": (_count, None), "noise_sigma": (float, None)}),
     "train": ("train the completion model", cmd_train, {
         "config": (_json_object, None), "data": (Path, REQUIRED), "out": (Path, "run"),
         "task": (str, "supervised"), "profile": (str, "mini"), "resume": (str, None),
-        "decay_steps": (_int_tuple, None), "seed": (int, 0), "steps": (int, 500),
-        "limit": (int, None), "lr": (float, None), "n_img_blocks": (int, None)}),
+        "decay_steps": (_int_tuple, None), "seed": (_count, 0), "steps": (_count, 500),
+        "limit": (_count, None), "lr": (float, None), "n_img_blocks": (_count, None)}),
     "eval": ("evaluate a checkpoint on a test split", cmd_eval, {
         "config": (_json_object, None), "data": (Path, REQUIRED), "out": (Path, "run"),
         "task": (str, "supervised"), "profile": (str, "mini"), "checkpoint": (str, None),
-        "seed": (int, 0), "limit": (int, None), "n_img_blocks": (int, None)}),
+        "seed": (_count, 0), "limit": (_count, None), "n_img_blocks": (_count, None)}),
     "ablate": ("sweep generator block partitions", cmd_ablate, {
         "config": (_json_object, None), "data": (Path, REQUIRED), "out": (Path, "ablation"),
-        "partitions": (_partitions, "0/4,2/2,4/0"), "seed": (int, 0), "steps": (int, 50),
-        "limit": (int, 4)}),
-    "gradcheck": ("finite-difference gradient verification", cmd_gradcheck, {"seed": (int, 0)}),
+        "partitions": (_partitions, "0/4,2/2,4/0"), "seed": (_count, 0), "steps": (_count, 50),
+        "limit": (_count, 4)}),
+    "gradcheck": ("finite-difference gradient verification", cmd_gradcheck,
+                  {"seed": (_count, 0)}),
 }
 
 

@@ -20,17 +20,12 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def named_parameters(self, prefix: str = ""):
-        for name, attr in vars(self).items():
-            full = f"{prefix}{name}" if prefix else name
-            if isinstance(attr, Tensor) and attr.requires_grad:
-                yield full, attr
-            elif isinstance(attr, Module):
-                yield from attr.named_parameters(full + ".")
-            elif isinstance(attr, (list, tuple)):
-                for i, item in enumerate(attr):
-                    if isinstance(item, Module):
-                        yield from item.named_parameters(f"{full}.{i}.")
+    def named_parameters(self):
+        """(dotted name, tensor) of every module's own ``requires_grad`` tensors."""
+        for prefix, m in self.named_modules():
+            for name, attr in vars(m).items():
+                if isinstance(attr, Tensor) and attr.requires_grad:
+                    yield f"{prefix}.{name}" if prefix else name, attr
 
     def named_modules(self, prefix: str = ""):
         """(dotted name, module) of this module ("") and every descendant."""
@@ -70,13 +65,12 @@ class Module:
 
     def to_dtype(self, dtype):
         """Convert all parameters and buffers in place (for 64-bit grad checks)."""
-        for _, p in self.named_parameters():
+        for p in self.parameters():
             p.data = p.data.astype(dtype)
             p.grad = None
-        owners = dict(self.named_modules())
-        for name, buf in list(self.named_buffers()):
-            owner, _, attr = name.rpartition(".")
-            setattr(owners[owner], attr, buf.astype(dtype))
+        for m in self.modules():
+            for name in m.buffer_names:
+                setattr(m, name, getattr(m, name).astype(dtype))
         return self
 
     def state_dict(self) -> dict[str, Tensor]:
@@ -87,31 +81,35 @@ class Module:
         return state
 
     def load_state_dict(self, arrays: dict[str, np.ndarray]) -> None:
-        """Set every parameter from ``arrays``, and every buffer from its
-        ``buf.<name>`` entry; other entries (optimizer state) are ignored.
+        """Copy ``arrays`` into the parameters and buffers (see ``load_state``)."""
+        load_state(self.state_dict(), arrays)
 
-        An archive without any ``buf.`` entry leaves the buffers as they are.
-        Every entry is checked before anything is set: a missing one raises
-        KeyError, a mis-shaped one ValueError.
-        """
-        params = dict(self.named_parameters())
-        buffers = {}
-        if any(k.startswith("buf.") for k in arrays):
-            buffers = {f"buf.{name}": buf for name, buf in self.named_buffers()}
-        for name, target in [*params.items(), *buffers.items()]:
-            kind = "buffer" if name in buffers else "parameter"
-            if name not in arrays:
-                raise KeyError(f"checkpoint missing {kind} '{name}'")
-            arr = arrays[name]
-            if arr.shape != target.shape:
-                raise ValueError(
-                    f"shape mismatch for {kind} '{name}': "
-                    f"checkpoint {tuple(arr.shape)} vs model {target.shape}"
-                )
-        for name, p in params.items():
-            p.data = arrays[name].astype(p.data.dtype).copy()
-        for name, buf in buffers.items():
-            np.copyto(buf, arrays[name])
+
+def load_state(table: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
+    """Copy each ``arrays`` entry into the array of the same-named ``table`` tensor.
+
+    Parameters are required; the ``buf.`` and ``opt.`` groups are each all or
+    none, so a group that ``arrays`` lacks entirely keeps its values. Entries
+    the table lacks are ignored. Every entry is checked before any is copied:
+    a missing one raises KeyError, a mis-shaped one ValueError, naming it.
+    """
+    present = {k[:4] for k in arrays if k.startswith(("buf.", "opt."))}
+    checked = []
+    for name, target in table.items():
+        group = name[:4] if name.startswith(("buf.", "opt.")) else None
+        if group is not None and group not in present:
+            continue
+        if name not in arrays:
+            if group is None:
+                raise KeyError(f"checkpoint missing parameter '{name}'")
+            raise KeyError(f"checkpoint missing '{name}': '{group}' entries load "
+                           "all or none, never one without its pair")
+        if arrays[name].shape != target.shape:
+            raise ValueError(f"shape mismatch for '{name}': checkpoint "
+                             f"{tuple(arrays[name].shape)} vs model {target.shape}")
+        checked.append((target.data, arrays[name]))
+    for dst, src in checked:
+        np.copyto(dst, src)
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -131,36 +129,35 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    """Layer normalization with ``T.layer_norm``'s eps (1e-5)."""
+
+    def __init__(self, dim: int):
         self.gain = Tensor(np.ones(dim, dtype=T.default_dtype()), requires_grad=True)
         self.bias = Tensor(np.zeros(dim, dtype=T.default_dtype()), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, self.eps)
+        return T.layer_norm(x, self.gain, self.bias)
 
 
 class BatchNorm1d(Module):
-    """Batch normalization of the last (dim) axis over all others; with
-    ``relu`` it is followed by ReLU in the same tape node."""
+    """Batch normalization of the last (dim) axis over all others, with
+    ``T.batch_norm_1d``'s momentum (0.1) and eps (1e-5); with ``relu`` it is
+    followed by ReLU in the same tape node."""
 
     buffer_names = ("running_mean", "running_var")
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5,
-                 relu: bool = False):
+    def __init__(self, dim: int, relu: bool = False):
         self.gain = Tensor(np.ones(dim, dtype=T.default_dtype()), requires_grad=True)
         self.bias = Tensor(np.zeros(dim, dtype=T.default_dtype()), requires_grad=True)
         self.running_mean = np.zeros(dim, dtype=T.default_dtype())
         self.running_var = np.ones(dim, dtype=T.default_dtype())
-        self.momentum = momentum
-        self.eps = eps
         self.relu = relu
         self.training = True
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.batch_norm_1d(
             x, self.gain, self.bias, self.running_mean, self.running_var,
-            self.training, self.momentum, self.eps, self.relu,
+            self.training, relu=self.relu,
         )
 
 
@@ -190,20 +187,18 @@ class LBR(Module):
 
 
 class Adam:
-    """Adam with optional stepwise learning-rate decay schedule."""
+    """Adam with betas (0.9, 0.999) and eps 1e-8; ``TrainState`` sets ``lr``
+    for its step-decay schedule."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-4,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float = 1e-4):
         self.params = params
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
 
     def step(self) -> None:
-        b1, b2 = self.betas
+        b1, b2 = 0.9, 0.999
         self.t += 1
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
@@ -215,7 +210,7 @@ class Adam:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
     def zero_grad(self) -> None:
         for p in self.params:

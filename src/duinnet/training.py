@@ -8,7 +8,7 @@ import numpy as np
 
 from . import tensor as T
 from .model.network import DuInNet
-from .nn import Adam
+from .nn import Adam, load_state
 
 
 class TrainState:
@@ -56,40 +56,25 @@ class TrainState:
 
     # -- checkpointing ---------------------------------------------------------
 
+    def state_dict(self) -> dict[str, T.Tensor]:
+        """The model's table plus each parameter's Adam moments as
+        ``opt.m.<name>`` and ``opt.v.<name>``, sharing the optimizer's arrays."""
+        table = self.model.state_dict()
+        table.update((f"opt.m.{name}", T.tensor(m)) for name, m in zip(self.named, self.opt.m))
+        table.update((f"opt.v.{name}", T.tensor(v)) for name, v in zip(self.named, self.opt.v))
+        return table
+
     def save(self, path) -> None:
-        entries = self.model.state_dict()
-        for (name, _), m, v in zip(self.named.items(), self.opt.m, self.opt.v):
-            entries[f"opt.m.{name}"] = T.tensor(m)
-            entries[f"opt.v.{name}"] = T.tensor(v)
-        entries["meta.step"] = T.tensor(np.array([float(self.step)]))
-        entries["meta.opt_t"] = T.tensor(np.array([float(self.opt.t)]))
-        T.save_checkpoint(path, entries)
+        T.save_checkpoint(path, {**self.state_dict(),
+                                 "meta.step": T.tensor(np.array([float(self.step)])),
+                                 "meta.opt_t": T.tensor(np.array([float(self.opt.t)]))})
 
     def load(self, path) -> None:
         self.restore(T.load_checkpoint(path))
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        """Set model (parameters and buffers), optimizer and step from
-        checkpoint arrays.
-
-        Every entry is checked before any state changes: a missing parameter
-        raises KeyError, a mis-shaped parameter, buffer or optimizer moment
-        ValueError.
-        """
-        for name, p in self.named.items():
-            moments = [k for k in (f"opt.m.{name}", f"opt.v.{name}") if k in arrays]
-            if len(moments) == 1:
-                raise KeyError(f"checkpoint has '{moments[0]}' without its pair")
-            for key in moments:
-                if arrays[key].shape != p.shape:
-                    raise ValueError(f"shape mismatch for '{key}': "
-                                     f"checkpoint {arrays[key].shape} vs model {p.shape}")
-        # load_state_dict checks every parameter and buffer before it sets any
-        self.model.load_state_dict(arrays)
-        for i, name in enumerate(self.named):
-            if f"opt.m.{name}" in arrays:
-                self.opt.m[i] = arrays[f"opt.m.{name}"].astype(self.params[i].data.dtype).copy()
-                self.opt.v[i] = arrays[f"opt.v.{name}"].astype(self.params[i].data.dtype).copy()
+        """Copy model, Adam moments and step from checkpoint arrays (``nn.load_state``)."""
+        load_state(self.state_dict(), arrays)
         self.step = int(arrays.get("meta.step", np.zeros(1))[0])
         self.opt.t = int(arrays.get("meta.opt_t", np.zeros(1))[0])
 

@@ -90,6 +90,22 @@ def test_gen_degenerate_mesh_reported_without_failing(tmp_path):
     assert report["mesh_errors"][0]["model_id"] == "chair_0002"
 
 
+def test_gen_writing_no_record_exits_data(tmp_path, capsys):
+    mesh_dir = tmp_path / "meshes"
+    (mesh_dir / "chair").mkdir(parents=True)
+    for i in (1, 2):
+        (mesh_dir / "chair" / f"chair_000{i}.off").write_text(
+            "OFF\n3 1 0\n0 0 0\n0 0 0\n0 0 0\n3 0 1 2\n")  # zero-area mesh
+    capsys.readouterr()
+    assert main(["gen", "--mesh-dir", str(mesh_dir), "--out", str(tmp_path / "out"),
+                 "--n-points", "64", "--n-viewpoints", "2", "--image-side", "32"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "generation_report.json").read_text())
+    first = report["mesh_errors"][0]
+    assert err.startswith("error: no record written") and "Traceback" not in err
+    assert f"chair_0001.off: {first['error']}" in err
+
+
 def test_limit_takes_categories_round_robin(cli_workspace):
     _, _, data = cli_workspace
     manifest = Manifest.load(data / "manifest.json")
@@ -387,7 +403,7 @@ def test_flag_beats_env_beats_file(cli_workspace, monkeypatch, tmp_path):
 
 
 # three distinct raw values per declared type: for flag, environment, config file
-_RAW = {int: ("1", "2", "3"), float: ("0.5", "0.25", "0.125"), str: ("a", "b", "c"),
+_RAW = {cli._count: ("1", "2", "3"), float: ("0.5", "0.25", "0.125"), str: ("a", "b", "c"),
         Path: ("a", "b", "c"), cli._int_tuple: ("1", "1,2", "3"),
         cli._partitions: ("1/1", "2/0", "0/2")}
 _OPTIONS = [(cmd, name) for cmd, (_, _, options) in _COMMANDS.items() for name in options]
@@ -431,6 +447,15 @@ def test_option_precedence(command, name, tmp_path, monkeypatch):
             resolve_options(command, flags)
 
 
+def test_config_file_serves_several_commands(tmp_path):
+    cfg = str(_write(tmp_path / "cfg.json", json.dumps({"n_points": 64, "steps": 1})))
+    assert resolve_options("gen", {"mesh_dir": "m", "config": cfg})["n_points"] == 64
+    assert resolve_options("train", {"data": "d", "config": cfg})["steps"] == 1
+    _write(tmp_path / "cfg.json", json.dumps({"steps": 1, "stpes": 2, "zz": 3}))
+    with pytest.raises(ConfigError, match="no option: stpes, zz"):
+        resolve_options("train", {"data": "d", "config": cfg})
+
+
 def test_missing_config_file_is_config_error(cli_workspace, tmp_path):
     _, _, data = cli_workspace
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
@@ -443,6 +468,12 @@ def test_missing_config_file_is_config_error(cli_workspace, tmp_path):
 def _write(path: Path, text: str) -> Path:
     path.write_text(text)
     return path
+
+
+def _mesh_dir(tmp: Path) -> Path:
+    (tmp / "meshes" / "chair").mkdir(parents=True)
+    save_off(tmp / "meshes" / "chair" / "chair_0001.off", box_mesh())
+    return tmp / "meshes"
 
 
 def _copy_without(data: Path, tmp: Path, pattern: str) -> Path:
@@ -465,6 +496,23 @@ _EXIT_CASES = {
                           {}, EXIT_CONFIG, "not a JSON object"),
     "env-steps-not-int": (lambda d, t: ["train", "--data", d],
                           {"DUINNET_STEPS": "abc"}, EXIT_CONFIG, "--steps"),
+    "config-unknown-key": (lambda d, t: ["train", "--data", d,
+                                         "--config", _write(t / "c.json", '{"stpes": 1}')],
+                           {}, EXIT_CONFIG, "stpes"),
+    "train-negative-steps": (lambda d, t: ["train", "--data", d, "--steps", "-3"],
+                             {}, EXIT_CONFIG, "--steps"),
+    "train-negative-seed": (lambda d, t: ["train", "--data", d, "--seed", "-1"],
+                            {}, EXIT_CONFIG, "--seed"),
+    "eval-negative-limit": (lambda d, t: ["eval", "--data", d, "--limit", "-2"],
+                            {}, EXIT_CONFIG, "--limit"),
+    "env-negative-n-img-blocks": (lambda d, t: ["eval", "--data", d],
+                                  {"DUINNET_N_IMG_BLOCKS": "-1"}, EXIT_CONFIG, "--n-img-blocks"),
+    "gen-negative-n-points": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t),
+                                            "--n-points", "-5"], {}, EXIT_CONFIG, "--n-points"),
+    "gen-negative-seed": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t), "--seed", "-1"],
+                          {}, EXIT_CONFIG, "--seed"),
+    "gen-no-record": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t), "--n-points", "0"],
+                      {}, EXIT_DATA, "no record written"),
     "gen-no-mesh-dir": (lambda d, t: ["gen"], {}, EXIT_CONFIG, "--mesh-dir"),
     "train-no-data": (lambda d, t: ["train"], {}, EXIT_CONFIG, "--data"),
     "eval-no-data": (lambda d, t: ["eval"], {}, EXIT_CONFIG, "--data"),

@@ -207,6 +207,47 @@ def test_restore_rejects_moment_without_its_pair(tmp_path, shapes):
     _assert_unchanged(state, before)
 
 
+def test_restore_rejects_moments_of_only_some_parameters(tmp_path, shapes):
+    source = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(source, shapes[:1], 1)
+    source.save(tmp_path / "a.ckpt")
+    arrays = T.load_checkpoint(tmp_path / "a.ckpt")
+    dropped = list(source.named)[-1]  # both moments of one parameter, so every pair is whole
+    del arrays["opt.m." + dropped], arrays["opt.v." + dropped]
+    target = TrainState(DuInNet(mini_config(), seed=1), lr=1e-3)
+    before = _snapshot(target)
+    with pytest.raises(KeyError, match=re.escape(f"'opt.m.{dropped}'")):
+        target.restore(arrays)
+    _assert_unchanged(target, before)
+
+
+def _model_arrays(model):
+    return [p.data for p in model.parameters()] + _buffers(model)
+
+
+def _state_arrays(state):
+    return _model_arrays(state.model) + state.opt.m + state.opt.v
+
+
+def test_restore_and_load_state_dict_copy_into_the_existing_arrays(tmp_path, shapes):
+    source = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(source, shapes[:2], 2)
+    source.save(tmp_path / "a.ckpt")
+    arrays = T.load_checkpoint(tmp_path / "a.ckpt")
+
+    target = TrainState(DuInNet(mini_config(), seed=1), lr=1e-3)
+    owned = _state_arrays(target)
+    target.restore(arrays)
+    assert all(a is b for a, b in zip(_state_arrays(target), owned))
+    assert all(np.array_equal(a, b) for a, b in zip(owned, _state_arrays(source)))
+
+    model = DuInNet(mini_config(), seed=1)
+    owned = _model_arrays(model)
+    model.load_state_dict(arrays)
+    assert all(a is b for a, b in zip(_model_arrays(model), owned))
+    assert all(np.array_equal(a, b) for a, b in zip(owned, _model_arrays(source.model)))
+
+
 def test_checkpoint_resume_reproduces_uninterrupted_run(tmp_path, shapes):
     samples = shapes[:4]
     straight = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
