@@ -111,13 +111,23 @@ def _load_samples(root: Path, manifest: Manifest, task: str, part: str, seed: in
     samples = []
     for rec, img_rec in datasetgen.pair_sampler(manifest, records, seed=seed):
         partial_path = rec.noisy_path if task == "denoising" else rec.partial_path
-        partial = geometry.load_cloud_ply(root / partial_path, category=rec.category,
-                                          model_id=rec.model_id)
+        partial = geometry.load_cloud_ply(root / partial_path, category=rec.category)
         image = datasetgen.load_raster(root / img_rec.image_path)
-        gt = geometry.load_cloud_ply(root / rec.complete_path, category=rec.category,
-                                     model_id=rec.model_id)
+        gt = geometry.load_cloud_ply(root / rec.complete_path, category=rec.category)
         samples.append((partial, image, gt, rec))
     return samples
+
+
+def _load_manifest(data: Path, image_side: int) -> Manifest:
+    """The manifest of the dataset at ``data``; a dataset whose recorded raster
+    side is not the model's ``image_side`` is a config error, found before any
+    sample is read."""
+    manifest = Manifest.load(data / "manifest.json")
+    side = manifest.config.get("image_side", image_side)
+    if side != image_side:
+        raise ConfigError(f"dataset {data} has {side!r}-pixel images, "
+                          f"but the model takes {image_side}-pixel images")
+    return manifest
 
 
 def _build_model(o) -> DuInNet:
@@ -141,7 +151,7 @@ def _predict(model: DuInNet, samples) -> list[geometry.PointCloud]:
 def cmd_train(o) -> int:
     if o.task not in ("supervised", "denoising", "zeroshot"):
         raise ConfigError(f"unknown task {o.task!r}")
-    manifest = Manifest.load(o.data / "manifest.json")
+    manifest = _load_manifest(o.data, make_config(o.profile).image_side)
     samples = _load_samples(o.data, manifest, o.task, "train", o.seed, o.limit)
     if not samples:
         raise ValueError("empty training split")
@@ -166,7 +176,7 @@ def cmd_train(o) -> int:
 
 
 def cmd_eval(o) -> int:
-    manifest = Manifest.load(o.data / "manifest.json")
+    manifest = _load_manifest(o.data, make_config(o.profile).image_side)
     samples = _load_samples(o.data, manifest, o.task, "test", o.seed, o.limit)
     if not samples:
         raise ValueError("empty evaluation split")
@@ -215,7 +225,7 @@ def cmd_ablate(o) -> int:
     base = mini_config()
     if base.N % n_blocks:
         raise ConfigError(f"{n_blocks} blocks do not divide N={base.N}")
-    manifest = Manifest.load(o.data / "manifest.json")
+    manifest = _load_manifest(o.data, base.image_side)
     splits = {task: [_load_samples(o.data, manifest, task, part, o.seed, o.limit)
                      for part in ("train", "test")]
               for task in ("supervised", "denoising", "zeroshot")}

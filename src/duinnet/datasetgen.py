@@ -93,6 +93,11 @@ class GenConfig:
     camera_distance: float = 1.5    # camera radius in normalized-model units
     seed: int = 0
 
+    def __post_init__(self):
+        if self.image_side <= 0 or self.image_side % 16:
+            raise ConfigError(f"image_side={self.image_side} must be a positive multiple of 16 "
+                              "(the image encoder downsamples by 16)")
+
     def hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -146,15 +151,7 @@ class Manifest:
         return out
 
     def to_json(self) -> str:
-        doc = {
-            "name": self.name,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "categories": self.categories,
-            "records": [asdict(r) for r in self.records],
-            "splits": self.splits,
-        }
-        return json.dumps(doc, indent=1, sort_keys=True)
+        return json.dumps(asdict(self), indent=1, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
@@ -319,7 +316,6 @@ def synthesize_model(mesh: TriMesh, model_id: str, category: str,
     mesh = mesh.normalized()
     complete = geometry.poisson_disk_sample(
         mesh, cfg.n_points, seed=_stable_seed(cfg.seed, model_id, "pds"))
-    complete.model_id, complete.category = model_id, category
     model_dir = root / category / model_id
     model_dir.mkdir(parents=True, exist_ok=True)
     complete_path = model_dir / "complete.ply"
@@ -345,8 +341,7 @@ def synthesize_model(mesh: TriMesh, model_id: str, category: str,
             m = max(int(round(target * cfg.n_points)), int(cfg.min_ratio * cfg.n_points))
             sub = geometry.fps(complete.points[visible], m, seed_rule="first_index")
             visible = visible[np.sort(sub)]
-        partial = PointCloud(complete.points[visible], model_id=model_id,
-                             category=category, viewpoint_id=vp.id)
+        partial = PointCloud(complete.points[visible])
         noisy = geometry.add_gaussian_noise(
             partial, cfg.noise_sigma, seed=_stable_seed(cfg.seed, model_id, vp.id, "noise"))
         image = render_depth_image(mesh, vp, cfg.image_side, cfg.camera_distance)
@@ -365,8 +360,7 @@ def synthesize_model(mesh: TriMesh, model_id: str, category: str,
     return records, exclusions
 
 
-def generate_dataset(mesh_paths: dict[tuple[str, str], Path], cfg: GenConfig,
-                     root: Path, name: str = "dataset"):
+def generate_dataset(mesh_paths: dict[tuple[str, str], Path], cfg: GenConfig, root: Path):
     """Run the full pipeline over (category, model_id) -> mesh path inputs.
 
     Returns (manifest, report). Unreadable meshes are logged in the report and
@@ -390,7 +384,7 @@ def generate_dataset(mesh_paths: dict[tuple[str, str], Path], cfg: GenConfig,
         records.extend(recs)
         exclusions.extend(excl)
     manifest = Manifest(
-        name=name, config=asdict(cfg), config_hash=cfg.hash(),
+        name="dataset", config=asdict(cfg), config_hash=cfg.hash(),
         categories=sorted({c for c, _ in mesh_paths}), records=records,
     )
     report = {"excluded_viewpoints": exclusions, "mesh_errors": errors,
@@ -404,48 +398,32 @@ def generate_dataset(mesh_paths: dict[tuple[str, str], Path], cfg: GenConfig,
 # -- splits ----------------------------------------------------------------------
 
 
-def make_splits(manifest: Manifest, unseen=None) -> Manifest:
+def make_splits(manifest: Manifest) -> Manifest:
     """Attach supervised / denoising / zero-shot split tags to a manifest.
 
     Supervised: per-category lexicographic model-id split, first half train.
     Denoising: the same partition (noisy partials are substituted at load time).
     Zero-shot: train on seen categories' training halves only; test on every
-    category's test half, tagged seen/unseen. ``unseen`` defaults to the
-    standard ten held-out categories, restricted to those present; an explicit
-    list naming a category absent from the dataset is a config error.
+    category's test half, tagged seen/unseen. The unseen categories are the
+    standard ten held-out ones that the dataset has records of.
     """
     by_cat: dict[str, list[str]] = {}
     for (cat, mid) in manifest.models():
         by_cat.setdefault(cat, []).append(mid)
-    if unseen is None:
-        unseen = [c for c in UNSEEN_CATEGORIES if c in manifest.categories]
-    else:
-        unknown = [c for c in unseen if c not in manifest.categories]
-        if unknown:
-            raise ConfigError(f"unseen categories not in dataset: {unknown}")
-    present_unseen = [c for c in unseen if c in by_cat]
-    train_models: set[tuple[str, str]] = set()
-    test_models: set[tuple[str, str]] = set()
-    for cat, mids in by_cat.items():
-        mids = sorted(mids)
-        cut = (len(mids) + 1) // 2
-        train_models.update((cat, m) for m in mids[:cut])
-        test_models.update((cat, m) for m in mids[cut:])
-
-    sup_train = [r.record_id for r in manifest.records if (r.category, r.model_id) in train_models]
-    sup_test = [r.record_id for r in manifest.records if (r.category, r.model_id) in test_models]
-    zs_train = [r.record_id for r in manifest.records
-                if (r.category, r.model_id) in train_models and r.category not in unseen]
-    zs_seen = [r.record_id for r in manifest.records
-               if (r.category, r.model_id) in test_models and r.category not in unseen]
-    zs_unseen = [r.record_id for r in manifest.records
-                 if (r.category, r.model_id) in test_models and r.category in unseen]
-    manifest.splits = {
-        "supervised": {"train": sup_train, "test": sup_test},
-        "denoising": {"train": sup_train, "test": sup_test},
-        "zeroshot": {"train": zs_train, "test_seen": zs_seen, "test_unseen": zs_unseen,
-                     "unseen_categories": sorted(present_unseen)},
-    }
+    train_models = {(cat, m) for cat, mids in by_cat.items()
+                    for m in sorted(mids)[:(len(mids) + 1) // 2]}
+    unseen = [c for c in UNSEEN_CATEGORIES if c in manifest.categories and c in by_cat]
+    sup: dict[str, list[str]] = {"train": [], "test": []}
+    zs: dict[str, list[str]] = {"train": [], "test_seen": [], "test_unseen": []}
+    for r in manifest.records:
+        train = (r.category, r.model_id) in train_models
+        sup["train" if train else "test"].append(r.record_id)
+        if r.category not in unseen:
+            zs["train" if train else "test_seen"].append(r.record_id)
+        elif not train:
+            zs["test_unseen"].append(r.record_id)
+    manifest.splits = {"supervised": sup, "denoising": sup,
+                       "zeroshot": {**zs, "unseen_categories": sorted(unseen)}}
     return manifest
 
 

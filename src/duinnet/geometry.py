@@ -21,13 +21,10 @@ class GeometryError(Exception):
 
 @dataclass
 class PointCloud:
-    """An ordered set of 3D points with provenance metadata."""
+    """An ordered set of 3D points, tagged with its category."""
 
     points: np.ndarray
-    model_id: str = ""
     category: str = ""
-    viewpoint_id: int = -1
-    noisy: bool = False
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -39,9 +36,6 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def with_points(self, pts: np.ndarray, **meta) -> "PointCloud":
-        return replace(self, points=pts, **meta)
 
 
 @dataclass
@@ -200,8 +194,8 @@ def nearest(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return idx
 
 
-def sample_on_mesh(mesh: TriMesh, n: int, rng: np.random.Generator):
-    """Area-weighted uniform sampling; returns (points, face ids, barycentric)."""
+def sample_on_mesh(mesh: TriMesh, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n points drawn uniformly by area over the mesh surface."""
     areas = mesh.face_areas()
     total = areas.sum()
     if total <= 0 or len(mesh.faces) == 0:
@@ -211,9 +205,7 @@ def sample_on_mesh(mesh: TriMesh, n: int, rng: np.random.Generator):
     flip = u + v > 1
     u[flip], v[flip] = 1 - u[flip], 1 - v[flip]
     tri = mesh.vertices[mesh.faces[fid]]
-    pts = tri[:, 0] + u[:, None] * (tri[:, 1] - tri[:, 0]) + v[:, None] * (tri[:, 2] - tri[:, 0])
-    bary = np.stack([1 - u - v, u, v], axis=1)
-    return pts, fid, bary
+    return tri[:, 0] + u[:, None] * (tri[:, 1] - tri[:, 0]) + v[:, None] * (tri[:, 2] - tri[:, 0])
 
 
 def poisson_disk_sample(mesh: TriMesh, n: int, seed: int = 0) -> PointCloud:
@@ -227,7 +219,7 @@ def poisson_disk_sample(mesh: TriMesh, n: int, seed: int = 0) -> PointCloud:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    pts, _, _ = sample_on_mesh(mesh, 10 * n, rng)
+    pts = sample_on_mesh(mesh, 10 * n, rng)
     area = mesh.face_areas().sum()
     r_target = np.sqrt(area / (2 * np.sqrt(3.0) * n))
     keep = _eliminate_samples(pts, n, 2.0 * r_target)
@@ -339,25 +331,24 @@ def add_gaussian_noise(cloud: PointCloud, sigma: float, seed: int = 0) -> PointC
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
-        return cloud.with_points(cloud.points.copy(), noisy=True)
+        return replace(cloud, points=cloud.points.copy())
     diag = np.linalg.norm(cloud.points.max(axis=0) - cloud.points.min(axis=0))
     rng = np.random.default_rng(seed)
     noise = rng.normal(scale=sigma * diag, size=cloud.points.shape)
-    return cloud.with_points(cloud.points + noise, noisy=True)
+    return replace(cloud, points=cloud.points + noise)
 
 
-def resample_to(cloud: PointCloud, n: int, seed: int = 0) -> PointCloud:
-    """FPS-subsample down to n, or pad by seeded duplication up to n."""
+def resample_to(cloud: PointCloud, n: int) -> PointCloud:
+    """FPS-subsample down to n, or pad by duplication (seed 0) up to n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     pts = cloud.points
     if len(pts) == n:
-        return cloud.with_points(pts.copy())
+        return replace(cloud, points=pts.copy())
     if len(pts) > n:
-        return cloud.with_points(pts[fps(pts, n)])
-    rng = np.random.default_rng(seed)
-    extra = rng.integers(0, len(pts), size=n - len(pts))
-    return cloud.with_points(np.vstack([pts, pts[extra]]))
+        return replace(cloud, points=pts[fps(pts, n)])
+    extra = np.random.default_rng(0).integers(0, len(pts), size=n - len(pts))
+    return replace(cloud, points=np.vstack([pts, pts[extra]]))
 
 
 # -- file formats -------------------------------------------------------------------

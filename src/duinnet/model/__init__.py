@@ -1,5 +1,5 @@
 from .attention import CrossAttentionBlock, DualFeatureInteractor
-from .config import ConfigError, ModelConfig, make_config, mini_config, paper_config
+from .config import ConfigError, ModelConfig, make_config, mini_config
 from .encoders import ImageEncoder, PointEncoder
 from .generator import AdaptivePointGenerator, GeneratorBlock
 from .network import DuInNet, assemble_outputs, chamfer_l1_t, completion_loss
@@ -8,5 +8,5 @@ __all__ = [
     "AdaptivePointGenerator", "ConfigError", "CrossAttentionBlock", "DuInNet",
     "DualFeatureInteractor", "GeneratorBlock", "ImageEncoder", "ModelConfig",
     "PointEncoder", "assemble_outputs", "chamfer_l1_t", "completion_loss",
-    "make_config", "mini_config", "paper_config",
+    "make_config", "mini_config",
 ]

@@ -78,7 +78,3 @@ class DualFeatureInteractor(Module):
 
     def __call__(self, f_pc: Tensor, f_img: Tensor) -> tuple[Tensor, Tensor]:
         return self.pc_path(f_pc, f_img), self.img_path(f_img, f_pc)
-
-    def attention_blocks(self) -> list[CrossAttentionBlock]:
-        return [self.pc_path.ca1, self.pc_path.sa, self.pc_path.ca2,
-                self.img_path.ca1, self.img_path.sa, self.img_path.ca2]

@@ -43,24 +43,12 @@ class ModelConfig:
     def n_pc_blocks(self) -> int:
         return self.n_blocks - self.n_img_blocks
 
-    @property
-    def n_point_tokens(self) -> int:
-        return self.N // 16
-
-    @property
-    def n_image_tokens(self) -> int:
-        return (self.image_side // 16) ** 2
-
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
         return cls(**json.loads(text))
-
-
-def paper_config(**overrides) -> ModelConfig:
-    return ModelConfig(**overrides)
 
 
 def mini_config(**overrides) -> ModelConfig:
@@ -72,7 +60,7 @@ def mini_config(**overrides) -> ModelConfig:
 
 def make_config(profile: str, **overrides) -> ModelConfig:
     if profile == "paper":
-        return paper_config(**overrides)
+        return ModelConfig(**overrides)
     if profile == "mini":
         return mini_config(**overrides)
     raise ConfigError(f"unknown profile {profile!r}")

@@ -33,8 +33,7 @@ def chamfer_l1_t(a: Tensor, b: Tensor) -> Tensor:
 def completion_loss(p_gen1: Tensor, p_gen2: Tensor, p_gt, mode: str = "standard") -> Tensor:
     """Sum of both generated clouds' l1 Chamfer terms, or only the first in
     denoising mode (noisy partials make the resampled branch counterproductive)."""
-    gt = p_gt if isinstance(p_gt, Tensor) else T.tensor(
-        np.asarray(getattr(p_gt, "points", p_gt), dtype=p_gen1.data.dtype))
+    gt = p_gt if isinstance(p_gt, Tensor) else T.tensor(np.asarray(p_gt, dtype=p_gen1.data.dtype))
     if mode == "standard":
         return T.add(chamfer_l1_t(p_gen1, gt), chamfer_l1_t(p_gen2, gt))
     if mode == "denoising":
@@ -48,11 +47,7 @@ def assemble_outputs(p_gen1: Tensor, p_in: np.ndarray, n: int) -> Tensor:
     The partial rows are constants; FPS indices are treated as constants, so
     gradients reach only the generated points that survive the selection.
     """
-    p_in = np.asarray(getattr(p_in, "points", p_in), dtype=p_gen1.data.dtype)
-    if len(p_in):
-        cat = T.concat([T.tensor(p_in), p_gen1], axis=0)
-    else:
-        cat = p_gen1
+    cat = T.concat([T.tensor(np.asarray(p_in, dtype=p_gen1.data.dtype)), p_gen1], axis=0)
     idx = geometry.fps(cat.data, n)
     return T.gather(cat, idx, axis=0)
 
@@ -75,14 +70,13 @@ class DuInNet(Module):
 
     def forward(self, partial, image) -> dict:
         cfg = self.cfg
-        pts = np.asarray(getattr(partial, "points", partial), dtype=np.float64)
-        cloud = geometry.PointCloud(pts)
-        up = geometry.resample_to(cloud, cfg.N).points
+        pts = np.asarray(partial, dtype=np.float64)
+        up = geometry.resample_to(geometry.PointCloud(pts), cfg.N).points
         f_pc = self.point_encoder(up)
         f_img = self.image_encoder(image)
         f_pc_fu, f_img_fu = self.dfi(f_pc, f_img)
         p_gen1 = self.apg(f_pc_fu, f_img_fu)
-        p_gen2 = assemble_outputs(p_gen1, pts.astype(p_gen1.data.dtype), cfg.N)
+        p_gen2 = assemble_outputs(p_gen1, pts, cfg.N)
         return {
             "p_gen1": p_gen1, "p_gen2": p_gen2,
             "f_pc": f_pc, "f_img": f_img,

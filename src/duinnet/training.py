@@ -69,9 +69,6 @@ class TrainState:
                                  "meta.step": T.tensor(np.array([float(self.step)])),
                                  "meta.opt_t": T.tensor(np.array([float(self.opt.t)]))})
 
-    def load(self, path) -> None:
-        self.restore(T.load_checkpoint(path))
-
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
         """Copy model, Adam moments and step from checkpoint arrays (``nn.load_state``)."""
         load_state(self.state_dict(), arrays)

@@ -4,6 +4,7 @@ option precedence."""
 from __future__ import annotations
 
 import filecmp
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -19,6 +20,12 @@ from duinnet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, REQUIRED
 from duinnet.datasetgen import ConfigError, Manifest, split_records
 from duinnet.gradcheck import PRIMITIVE_CHECKS
 from duinnet.model import DuInNet, make_config
+
+
+# SHA-256 of the manifest.json (records, config and splits) that ``gen`` writes
+# for the cli_workspace fixture. Generated datasets are byte-identical across
+# versions, so any change to this digest is a defect.
+MANIFEST_SHA256 = "d80f8fccc8ae5c38fb72663766324180d716fa49ad5bf72fb0c0b28ed1a42a8c"
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +54,11 @@ def test_gen_manifest_and_pair_count(cli_workspace):
     assert manifest.pair_count == 4 * 4  # 4 models x 4 viewpoints
     assert set(manifest.splits) == {"supervised", "denoising", "zeroshot"}
     assert (data / "generation_report.json").exists()
+
+
+def test_gen_manifest_bytes_are_pinned(cli_workspace):
+    _, _, data = cli_workspace
+    assert hashlib.sha256((data / "manifest.json").read_bytes()).hexdigest() == MANIFEST_SHA256
 
 
 def test_gen_rerun_is_byte_identical(cli_workspace, tmp_path):
@@ -513,6 +525,10 @@ _EXIT_CASES = {
                           {}, EXIT_CONFIG, "--seed"),
     "gen-no-record": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t), "--n-points", "0"],
                       {}, EXIT_DATA, "no record written"),
+    "gen-image-side-zero": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t), "--image-side", "0"],
+                            {}, EXIT_CONFIG, "image_side=0"),
+    "train-image-side-mismatch": (lambda d, t: ["train", "--data", d, "--profile", "paper"],
+                                  {}, EXIT_CONFIG, "32-pixel images, but the model takes 224"),
     "gen-no-mesh-dir": (lambda d, t: ["gen"], {}, EXIT_CONFIG, "--mesh-dir"),
     "train-no-data": (lambda d, t: ["train"], {}, EXIT_CONFIG, "--data"),
     "eval-no-data": (lambda d, t: ["eval"], {}, EXIT_CONFIG, "--data"),

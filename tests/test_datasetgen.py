@@ -456,12 +456,6 @@ def test_splits_denoising_shares_the_supervised_partition():
     assert manifest.splits["denoising"] == manifest.splits["supervised"]
 
 
-def test_splits_unknown_unseen_category_rejected():
-    manifest = synthetic_manifest(["chair", "desk"])
-    with pytest.raises(ConfigError):
-        make_splits(manifest, unseen=["spaceship"])
-
-
 def test_splits_default_unseen_restricted_to_present_categories():
     manifest = make_splits(synthetic_manifest(["chair", "bowl"]))
     assert manifest.splits["zeroshot"]["unseen_categories"] == ["bowl"]

@@ -158,7 +158,7 @@ def test_knn_matches_argsort_oracle(pts, data):
 def test_fps_knn_match_oracles_on_padded_partial():
     # the encoder's calls on a 535-point partial padded to 2,048 by duplication
     rng = np.random.default_rng(7)
-    pts = resample_to(PointCloud(rng.standard_normal((535, 3))), 2048, seed=3).points
+    pts = resample_to(PointCloud(rng.standard_normal((535, 3))), 2048).points
     idx = fps(pts, 512, seed_rule="farthest_from_centroid")
     np.testing.assert_array_equal(idx, fps_norm_loop_oracle(pts, 512, "farthest_from_centroid"))
     centers = pts[idx]
@@ -207,7 +207,7 @@ def test_nearest_matches_dense_argmin(pts, data, dtype):
 def test_nearest_across_row_blocks(dtype):
     # 700 points give row blocks of 46 or 93 queries; 1,000 queries leave a short last block
     rng = np.random.default_rng(10)
-    pts = resample_to(PointCloud(rng.standard_normal((250, 3))), 700, seed=1).points
+    pts = resample_to(PointCloud(rng.standard_normal((250, 3))), 700).points
     queries = np.vstack([pts[::3], rng.standard_normal((1000 - len(pts[::3]), 3))])
     pts, queries = pts.astype(dtype), queries.astype(dtype)
     np.testing.assert_array_equal(nearest(pts, queries), _dense_argmin(pts, queries))
@@ -262,7 +262,7 @@ def test_pds_sphere_radii_and_blue_noise():
     pds_sep = _min_pairwise_dist(pc.points)
     uniform_seps = []
     for s in range(20):
-        up, _, _ = sample_on_mesh(mesh, 256, np.random.default_rng(s))
+        up = sample_on_mesh(mesh, 256, np.random.default_rng(s))
         uniform_seps.append(_min_pairwise_dist(up))
     assert pds_sep > np.percentile(uniform_seps, 5)
 
@@ -285,7 +285,7 @@ def test_pds_points_lie_on_triangles():
 @pytest.mark.parametrize("mesh", [box_mesh(), uv_sphere(12, 24)], ids=["box", "sphere"])
 def test_eliminate_samples_matches_heap_oracle(mesh, seed):
     n = 256
-    pts, _, _ = sample_on_mesh(mesh, 10 * n, np.random.default_rng(seed))
+    pts = sample_on_mesh(mesh, 10 * n, np.random.default_rng(seed))
     r_max = 2.0 * np.sqrt(mesh.face_areas().sum() / (2 * np.sqrt(3.0) * n))
     np.testing.assert_array_equal(_eliminate_samples(pts, n, r_max),
                                   eliminate_samples_oracle(pts, n, r_max))
@@ -408,7 +408,7 @@ def test_noise_sigma_zero_is_identity():
     pts = np.random.default_rng(6).standard_normal((30, 3))
     out = add_gaussian_noise(PointCloud(pts), 0.0, seed=1)
     np.testing.assert_array_equal(out.points, pts)
-    assert out.noisy
+    assert not np.shares_memory(out.points, pts)
 
 
 def test_noise_std_matches_bbox_scale():

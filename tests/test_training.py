@@ -259,7 +259,7 @@ def test_checkpoint_resume_reproduces_uninterrupted_run(tmp_path, shapes):
     first.save(ckpt)
 
     resumed = TrainState(DuInNet(mini_config(), seed=1), lr=1e-3)
-    resumed.load(ckpt)
+    resumed.restore(T.load_checkpoint(ckpt))
     assert resumed.step == 3 and resumed.opt.t == first.opt.t
     tail = train_loop(resumed, samples, 3)
     for (s1, l1), (s2, l2) in zip(full_curve[3:], tail):
