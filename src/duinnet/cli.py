@@ -31,6 +31,7 @@ EXIT_NUMERIC = 4
 
 ENV_PREFIX = "DUINNET_"
 REQUIRED = object()  # declared default of an option that has none
+TASKS = ("supervised", "denoising", "zeroshot")
 
 
 def resolve_options(command: str, flags: dict) -> dict:
@@ -86,8 +87,6 @@ def cmd_gen(o) -> int:
         errors = report["mesh_errors"]
         why = f"{errors[0]['path']}: {errors[0]['error']}" if errors else "every view excluded"
         raise ValueError(f"no record written to {o.out}: {why}")
-    datasetgen.make_splits(manifest)
-    manifest.save(o.out / "manifest.json")
     print(f"models: {report['models']}  records: {report['records']}  "
           f"excluded viewpoints: {len(report['excluded_viewpoints'])}  "
           f"mesh errors: {len(report['mesh_errors'])}")
@@ -99,8 +98,9 @@ def cmd_gen(o) -> int:
 
 def _load_samples(root: Path, manifest: Manifest, task: str, part: str, seed: int,
                   limit: int | None = None):
-    """A split's (partial, image, gt, record) samples. A ``limit`` keeps that
-    many records taken round-robin over categories, each in manifest order."""
+    """A split's (partial, image, gt) arrays and their records. A ``limit`` keeps
+    that many records taken round-robin over categories, each in manifest
+    order; an empty split raises ``ValueError`` naming the task and part."""
     records = datasetgen.split_records(manifest, task, part)
     if limit:
         by_cat: dict[str, list] = {}
@@ -108,14 +108,15 @@ def _load_samples(root: Path, manifest: Manifest, task: str, part: str, seed: in
             by_cat.setdefault(rec.category, []).append(rec)
         rows = itertools.zip_longest(*by_cat.values())
         records = [rec for row in rows for rec in row if rec is not None][:limit]
+    if not records:
+        raise ValueError(f"empty {part} split of task {task!r}")
     samples = []
     for rec, img_rec in datasetgen.pair_sampler(manifest, records, seed=seed):
         partial_path = rec.noisy_path if task == "denoising" else rec.partial_path
-        partial = geometry.load_cloud_ply(root / partial_path, category=rec.category)
-        image = datasetgen.load_raster(root / img_rec.image_path)
-        gt = geometry.load_cloud_ply(root / rec.complete_path, category=rec.category)
-        samples.append((partial, image, gt, rec))
-    return samples
+        samples.append((geometry.load_cloud_ply(root / partial_path).points,
+                        datasetgen.load_raster(root / img_rec.image_path),
+                        geometry.load_cloud_ply(root / rec.complete_path).points))
+    return samples, records
 
 
 def _load_manifest(data: Path, image_side: int) -> Manifest:
@@ -134,27 +135,26 @@ def _build_model(o) -> DuInNet:
     return DuInNet(make_config(o.profile, **_given(o, ["n_img_blocks"])), seed=o.seed)
 
 
-def _predict(model: DuInNet, samples) -> list[geometry.PointCloud]:
-    """Each sample's eval-mode ``p_gen2`` as a float64 cloud, recording no graph."""
+def _score(model: DuInNet, samples, records) -> list[metrics.MetricReport]:
+    """Score each sample's eval-mode ``p_gen2`` as it is made, recording no graph;
+    a non-finite prediction raises ``FloatingPointError`` naming its record."""
     model.eval()
-    preds = []
+    reports = []
     with T.no_grad():
-        for partial, image, _, rec in samples:
-            p_gen2 = model(partial.points, image)["p_gen2"].data
-            preds.append(geometry.PointCloud(p_gen2.astype(np.float64), category=rec.category))
-    return preds
+        for (partial, image, gt), rec in zip(samples, records, strict=True):
+            pred = model(partial, image)["p_gen2"].data.astype(np.float64)
+            if not np.isfinite(pred).all():
+                raise FloatingPointError(f"non-finite prediction for record {rec.record_id}")
+            reports.append(metrics.evaluate_pair(pred, gt))
+    return reports
 
 
 # -- train ---------------------------------------------------------------------------
 
 
 def cmd_train(o) -> int:
-    if o.task not in ("supervised", "denoising", "zeroshot"):
-        raise ConfigError(f"unknown task {o.task!r}")
     manifest = _load_manifest(o.data, make_config(o.profile).image_side)
-    samples = _load_samples(o.data, manifest, o.task, "train", o.seed, o.limit)
-    if not samples:
-        raise ValueError("empty training split")
+    samples, _ = _load_samples(o.data, manifest, o.task, "train", o.seed, o.limit)
     state = TrainState(_build_model(o), **_given(o, ["lr", "decay_steps"]))
     o.out.mkdir(parents=True, exist_ok=True)
     ckpt = o.out / "checkpoint.ckpt"
@@ -165,8 +165,7 @@ def cmd_train(o) -> int:
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"cannot resume: {exc}") from exc
     mode = "denoising" if o.task == "denoising" else "standard"
-    triples = [(p.points, img, gt.points) for p, img, gt, _ in samples]
-    train_loop(state, triples, o.steps, mode=mode,
+    train_loop(state, samples, o.steps, mode=mode,
                curve_path=o.out / "loss_curve.tsv", checkpoint_path=ckpt, verbose=o.verbose)
     print(f"trained {o.steps} steps; checkpoint at {ckpt}")
     return EXIT_OK
@@ -177,9 +176,7 @@ def cmd_train(o) -> int:
 
 def cmd_eval(o) -> int:
     manifest = _load_manifest(o.data, make_config(o.profile).image_side)
-    samples = _load_samples(o.data, manifest, o.task, "test", o.seed, o.limit)
-    if not samples:
-        raise ValueError("empty evaluation split")
+    samples, records = _load_samples(o.data, manifest, o.task, "test", o.seed, o.limit)
     model = _build_model(o)
     if o.checkpoint:
         arrays = T.load_checkpoint(o.checkpoint)
@@ -187,19 +184,14 @@ def cmd_eval(o) -> int:
             model.load_state_dict(arrays)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"checkpoint mismatch: {exc}") from exc
-    gts = [gt for _, _, gt, _ in samples]
-    reports = [metrics.evaluate_pair(p, gt) for p, gt in zip(_predict(model, samples), gts)]
-    cats = [metrics.category_of(gt) for gt in gts]
-    report = metrics.summarize(reports, cats)
+    reports = _score(model, samples, records)
+    report = metrics.summarize(reports, [rec.category for rec in records])
     extra = None
     if o.task == "zeroshot":
         unseen = set(manifest.splits["zeroshot"].get("unseen_categories", []))
-        extra = {}
-        for label, want in (("Mean(seen)", False), ("Mean(unseen)", True)):
-            idxs = [i for i, gt in enumerate(gts) if (gt.category in unseen) == want]
-            if idxs:
-                r = metrics.summarize([reports[i] for i in idxs], [cats[i] for i in idxs])
-                extra[label] = {"cd_l1": r.cd_l1, "cd_l2": r.cd_l2, "fscore": r.fscore}
+        labels = ["Mean(unseen)" if rec.category in unseen else "Mean(seen)" for rec in records]
+        extra = {label: {k: means[k] for k in ("cd_l1", "cd_l2", "fscore")}
+                 for label, means in metrics.summarize(reports, labels).per_category.items()}
     table = metrics.format_table(report, extra)
     o.out.mkdir(parents=True, exist_ok=True)
     (o.out / "eval_table.tsv").write_text(table + "\n")
@@ -228,20 +220,18 @@ def cmd_ablate(o) -> int:
     manifest = _load_manifest(o.data, base.image_side)
     splits = {task: [_load_samples(o.data, manifest, task, part, o.seed, o.limit)
                      for part in ("train", "test")]
-              for task in ("supervised", "denoising", "zeroshot")}
-    if not all(all(parts) for parts in splits.values()):
-        raise ValueError("empty split for ablation")
+              for task in TASKS}
     rows = ["n_img\tn_pc\ttask\tCD-l1(x1e-3)\tCD-l2(x1e-3)\tFS"]
     for n_img, n_pc in o.partitions:
-        for task, (train, test) in splits.items():
+        for task, ((train, _), (test, test_records)) in splits.items():
             cfg = mini_config(n_blocks=n_blocks, n_img_blocks=n_img,
                               block_points=base.N // n_blocks)
             model = DuInNet(cfg, seed=o.seed)
             state = TrainState(model)
             mode = "denoising" if task == "denoising" else "standard"
-            triples = [(p.points, img, gt.points) for p, img, gt, _ in train]
-            train_loop(state, triples, o.steps, mode=mode)
-            rep = metrics.evaluate_batch(_predict(model, test), [gt for _, _, gt, _ in test])
+            train_loop(state, train, o.steps, mode=mode)
+            rep = metrics.summarize(_score(model, test, test_records),
+                                    [r.category for r in test_records])
             rows.append(f"{n_img}\t{n_pc}\t{task}\t{rep.cd_l1 * 1e3:.3f}\t"
                         f"{rep.cd_l2 * 1e3:.3f}\t{rep.fscore:.3f}")
     o.out.mkdir(parents=True, exist_ok=True)
@@ -290,7 +280,16 @@ def _int_tuple(v) -> tuple[int, ...]:
 
 
 def _partitions(v) -> list[tuple[int, int]]:
-    return [(int(a), int(b)) for a, b in (p.split("/") for p in str(v).split(","))]
+    parts = [(_count(a), _count(b)) for a, b in (p.split("/") for p in str(v).split(","))]
+    if (0, 0) in parts:
+        raise ValueError("every partition needs at least one block")
+    return parts
+
+
+def _task(v) -> str:
+    if v not in TASKS:
+        raise ValueError(f"must be one of {', '.join(TASKS)}")
+    return v
 
 
 # subcommand: (help, handler, {option: (type, default)}). Option "n_points" is
@@ -304,12 +303,12 @@ _COMMANDS = {
         "image_side": (_count, None), "noise_sigma": (float, None)}),
     "train": ("train the completion model", cmd_train, {
         "config": (_json_object, None), "data": (Path, REQUIRED), "out": (Path, "run"),
-        "task": (str, "supervised"), "profile": (str, "mini"), "resume": (str, None),
+        "task": (_task, "supervised"), "profile": (str, "mini"), "resume": (str, None),
         "decay_steps": (_int_tuple, None), "seed": (_count, 0), "steps": (_count, 500),
         "limit": (_count, None), "lr": (float, None), "n_img_blocks": (_count, None)}),
     "eval": ("evaluate a checkpoint on a test split", cmd_eval, {
         "config": (_json_object, None), "data": (Path, REQUIRED), "out": (Path, "run"),
-        "task": (str, "supervised"), "profile": (str, "mini"), "checkpoint": (str, None),
+        "task": (_task, "supervised"), "profile": (str, "mini"), "checkpoint": (str, None),
         "seed": (_count, 0), "limit": (_count, None), "n_img_blocks": (_count, None)}),
     "ablate": ("sweep generator block partitions", cmd_ablate, {
         "config": (_json_object, None), "data": (Path, REQUIRED), "out": (Path, "ablation"),

@@ -363,8 +363,9 @@ def synthesize_model(mesh: TriMesh, model_id: str, category: str,
 def generate_dataset(mesh_paths: dict[tuple[str, str], Path], cfg: GenConfig, root: Path):
     """Run the full pipeline over (category, model_id) -> mesh path inputs.
 
-    Returns (manifest, report). Unreadable meshes are logged in the report and
-    skipped; manifest assembly is ordered by model id for determinism.
+    Returns (manifest, report), both written under ``root``, the manifest with
+    its splits. Unreadable meshes are logged in the report and skipped;
+    manifest assembly is ordered by model id for determinism.
     """
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -373,9 +374,9 @@ def generate_dataset(mesh_paths: dict[tuple[str, str], Path], cfg: GenConfig, ro
     exclusions: list[dict] = []
     errors: list[dict] = []
     for (category, model_id) in sorted(mesh_paths):
-        path = mesh_paths[(category, model_id)]
+        path = Path(mesh_paths[(category, model_id)])
         try:
-            mesh = geometry.load_off(path) if str(path).endswith(".off") else geometry.load_ply(path)
+            mesh = geometry.load_off(path) if path.suffix.lower() == ".off" else geometry.load_ply(path)
             recs, excl = synthesize_model(mesh, model_id, category, viewpoints, cfg, root)
         except (GeometryError, ValueError, OSError) as exc:
             errors.append({"model_id": model_id, "category": category,
@@ -383,10 +384,10 @@ def generate_dataset(mesh_paths: dict[tuple[str, str], Path], cfg: GenConfig, ro
             continue
         records.extend(recs)
         exclusions.extend(excl)
-    manifest = Manifest(
+    manifest = make_splits(Manifest(
         name="dataset", config=asdict(cfg), config_hash=cfg.hash(),
         categories=sorted({c for c, _ in mesh_paths}), records=records,
-    )
+    ))
     report = {"excluded_viewpoints": exclusions, "mesh_errors": errors,
               "models": len(mesh_paths), "records": len(records)}
     manifest.save(root / "manifest.json")

@@ -453,6 +453,5 @@ def save_cloud_ply(path, cloud: PointCloud) -> None:
             f.write(f"{x:.8g} {y:.8g} {z:.8g}\n")
 
 
-def load_cloud_ply(path, **meta) -> PointCloud:
-    mesh = load_ply(path)
-    return PointCloud(mesh.vertices, **meta)
+def load_cloud_ply(path) -> PointCloud:
+    return PointCloud(load_ply(path).vertices)

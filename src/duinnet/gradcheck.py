@@ -19,9 +19,19 @@ from .model.network import completion_loss
 from .nn import Module
 from .tensor import Tensor
 
+
+def _batch_norm(training: bool, relu: bool):
+    """``batch_norm_1d`` times its input, over fresh copies of fixed running
+    statistics (training mode updates them in place)."""
+    def fn(x, g, b):
+        rm, rv = np.linspace(-1.0, 1.0, 4), np.linspace(0.5, 2.0, 4)
+        return T.reduce_sum(T.mul(
+            T.batch_norm_1d(x, g, b, rm, rv, training=training, relu=relu), x))
+    return fn
+
+
 # (name, scalar-valued graph, input shapes). A name is its op, optionally with
-# a "_<variant>" suffix; layer_norm, batch_norm_1d and conv2d have their own
-# gradient tests instead.
+# a "_<variant>" suffix.
 PRIMITIVE_CHECKS = [
     ("add", lambda a, b: T.reduce_sum(T.add(a, b)), [(3, 4), (3, 4)]),
     ("add_broadcast", lambda a, b: T.reduce_sum(T.add(a, b)), [(3, 4), (4,)]),
@@ -46,6 +56,13 @@ PRIMITIVE_CHECKS = [
     ("reduce_max", lambda a: T.reduce_sum(T.reduce_max(a, axis=1)[0]), [(4, 5)]),
     ("reduce_min", lambda a: T.reduce_sum(T.reduce_min(a, axis=1)[0]), [(4, 5)]),
     ("softmax", lambda a: T.reduce_sum(T.mul(a, T.softmax(a, axis=-1))), [(4, 7)]),
+    ("layer_norm", lambda x, g, b: T.reduce_sum(T.mul(T.layer_norm(x, g, b), x)),
+     [(4, 6), (6,), (6,)]),
+    *[(f"batch_norm_1d_{mode}{'_relu' if relu else ''}", _batch_norm(mode == "train", relu),
+       [(6, 4), (4,), (4,)]) for mode in ("train", "eval") for relu in (False, True)],
+    ("conv2d", lambda x, w, b: T.reduce_sum(T.mul(T.conv2d(x, w, b, padding=1),
+                                                  T.conv2d(x, w, b, padding=1))),
+     [(5, 5, 2), (3, 3, 2, 3), (3,)]),
 ]
 
 

@@ -102,20 +102,16 @@ def summarize(reports: list[MetricReport], categories: list[str]) -> MetricRepor
     return out
 
 
-def category_of(cloud) -> str:
-    """A ground-truth cloud's category label, ``"all"`` when it has none."""
-    return getattr(cloud, "category", "") or "all"
-
-
 def evaluate_batch(preds, gts, d: float = 0.001, categories=None) -> MetricReport:
     """Mean metrics over pairs, with per-category breakdown.
 
-    ``categories`` defaults to each ground-truth cloud's own category label.
+    ``categories`` defaults to each ground-truth cloud's own category label,
+    ``"all"`` when it has none.
     """
     if len(preds) != len(gts):
         raise ValueError(f"pred/gt length mismatch: {len(preds)} vs {len(gts)}")
     if categories is None:
-        categories = [category_of(g) for g in gts]
+        categories = [getattr(g, "category", "") or "all" for g in gts]
     return summarize([evaluate_pair(p, g, d) for p, g in zip(preds, gts)], categories)
 
 

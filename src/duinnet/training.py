@@ -81,12 +81,12 @@ def train_loop(state: TrainState, samples, steps: int, mode: str = "standard",
                verbose: bool = False) -> list[tuple[int, float]]:
     """Cycle through ``samples`` (list of (partial, image, gt)) in order.
 
-    Appends (step, loss) rows to the curve file as it goes and checkpoints
-    every 100 steps; a non-finite loss raises FloatingPointError from
-    ``TrainState.train_step``.
+    Writes (step, loss) rows to the curve file as it goes, a fresh file at step
+    0 and appended to on resume, and checkpoints every 100 steps; a non-finite
+    loss raises FloatingPointError from ``TrainState.train_step``.
     """
     curve: list[tuple[int, float]] = []
-    f = open(curve_path, "a") if curve_path else None
+    f = open(curve_path, "a" if state.step else "w") if curve_path else None
     try:
         for _ in range(steps):
             step = state.step

@@ -118,12 +118,22 @@ def test_gen_writing_no_record_exits_data(tmp_path, capsys):
     assert f"chair_0001.off: {first['error']}" in err
 
 
+def test_gen_reads_upper_case_off_suffix(tmp_path):
+    mesh_dir = tmp_path / "meshes"
+    (mesh_dir / "chair").mkdir(parents=True)
+    save_off(mesh_dir / "chair" / "chair_0001.OFF", box_mesh())
+    out = tmp_path / "out"
+    assert main(["gen", "--mesh-dir", str(mesh_dir), "--out", str(out),
+                 "--n-points", "64", "--n-viewpoints", "2", "--image-side", "32"]) == EXIT_OK
+    assert json.loads((out / "generation_report.json").read_text())["mesh_errors"] == []
+
+
 def test_limit_takes_categories_round_robin(cli_workspace):
     _, _, data = cli_workspace
     manifest = Manifest.load(data / "manifest.json")
     records = split_records(manifest, "zeroshot", "test")
     for limit in range(1, len(records) + 1):
-        got = [rec for *_, rec in _load_samples(data, manifest, "zeroshot", "test", 0, limit)]
+        _, got = _load_samples(data, manifest, "zeroshot", "test", 0, limit)
         cats = [rec.category for rec in got]
         assert len(got) == limit and abs(cats.count("bowl") - cats.count("chair")) <= 1
         for cat in set(cats):  # each category's first records, in manifest order
@@ -157,6 +167,17 @@ def test_train_resume_continues_curve(cli_workspace):
     steps = [int(r.split("\t")[0])
              for r in (run / "loss_curve.tsv").read_text().strip().splitlines()]
     assert steps == [0, 1, 2, 3]
+
+
+def test_train_fresh_run_restarts_curve(cli_workspace, tmp_path):
+    _, _, data = cli_workspace
+    argv = ["train", "--data", str(data), "--out", str(tmp_path), "--profile", "mini",
+            "--steps", "3", "--limit", "2", "--seed", "0"]
+    assert main(argv) == EXIT_OK
+    assert main(argv) == EXIT_OK
+    steps = [int(r.split("\t")[0])
+             for r in (tmp_path / "loss_curve.tsv").read_text().strip().splitlines()]
+    assert steps == [0, 1, 2]
 
 
 def test_train_denoising_task_runs(cli_workspace):
@@ -308,9 +329,9 @@ def test_eval_zeroshot_extra_rows_equal_evaluate_batch_over_subsets(cli_workspac
     model = DuInNet(make_config("mini"), seed=0)
     model.eval()
     preds, gts = {False: [], True: []}, {False: [], True: []}
-    for partial, image, gt, rec in _load_samples(data, manifest, "zeroshot", "test", 0):
+    for (partial, image, gt), rec in zip(*_load_samples(data, manifest, "zeroshot", "test", 0)):
         with T.no_grad():
-            pred = model(partial.points, image)["p_gen2"].data.astype(np.float64)
+            pred = model(partial, image)["p_gen2"].data.astype(np.float64)
         preds[rec.category in unseen].append(pred)
         gts[rec.category in unseen].append(gt)
     for label, is_unseen in (("Mean(seen)", False), ("Mean(unseen)", True)):
@@ -319,6 +340,22 @@ def test_eval_zeroshot_extra_rows_equal_evaluate_batch_over_subsets(cli_workspac
                                           "fscore": rep.fscore}
     rep = metrics.evaluate_batch(preds[False] + preds[True], gts[False] + gts[True])
     assert report["mean"]["cd_l1"] == pytest.approx(rep.cd_l1, rel=1e-12)
+
+
+def test_eval_nonfinite_prediction_exits_numeric(cli_workspace, tmp_path, capsys):
+    _, _, data = cli_workspace
+    from duinnet.model import mini_config
+    params = DuInNet(mini_config(), seed=0).state_dict()
+    params["apg.pc_blocks.0.linear2.weight"].data[...] = np.nan  # p_gen2 is NaN, forward runs
+    nan_ckpt = tmp_path / "nan.ckpt"
+    T.save_checkpoint(nan_ckpt, params)
+    capsys.readouterr()
+    assert main(["eval", "--data", str(data), "--out", str(tmp_path / "run"), "--profile", "mini",
+                 "--limit", "1", "--checkpoint", str(nan_ckpt)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    first = split_records(Manifest.load(data / "manifest.json"), "supervised", "test")[0]
+    assert err.startswith("error: non-finite prediction") and first.record_id in err
+    assert "Traceback" not in err
 
 
 def test_eval_checkpoint_config_mismatch(cli_workspace, tmp_path):
@@ -417,7 +454,7 @@ def test_flag_beats_env_beats_file(cli_workspace, monkeypatch, tmp_path):
 # three distinct raw values per declared type: for flag, environment, config file
 _RAW = {cli._count: ("1", "2", "3"), float: ("0.5", "0.25", "0.125"), str: ("a", "b", "c"),
         Path: ("a", "b", "c"), cli._int_tuple: ("1", "1,2", "3"),
-        cli._partitions: ("1/1", "2/0", "0/2")}
+        cli._partitions: ("1/1", "2/0", "0/2"), cli._task: ("supervised", "denoising", "zeroshot")}
 _OPTIONS = [(cmd, name) for cmd, (_, _, options) in _COMMANDS.items() for name in options]
 
 
@@ -529,6 +566,12 @@ _EXIT_CASES = {
                             {}, EXIT_CONFIG, "image_side=0"),
     "train-image-side-mismatch": (lambda d, t: ["train", "--data", d, "--profile", "paper"],
                                   {}, EXIT_CONFIG, "32-pixel images, but the model takes 224"),
+    "eval-unknown-task": (lambda d, t: ["eval", "--data", d, "--task", "bogus"],
+                          {}, EXIT_CONFIG, "--task"),
+    "ablate-partition-no-block": (lambda d, t: ["ablate", "--data", d, "--partitions", "0/0"],
+                                  {}, EXIT_CONFIG, "--partitions"),
+    "ablate-partition-negative": (lambda d, t: ["ablate", "--data", d, "--partitions", "5/-1"],
+                                  {}, EXIT_CONFIG, "--partitions"),
     "gen-no-mesh-dir": (lambda d, t: ["gen"], {}, EXIT_CONFIG, "--mesh-dir"),
     "train-no-data": (lambda d, t: ["train"], {}, EXIT_CONFIG, "--data"),
     "eval-no-data": (lambda d, t: ["eval"], {}, EXIT_CONFIG, "--data"),
