@@ -68,12 +68,16 @@ def _given(opts, names) -> dict:
 
 
 def _collect_meshes(mesh_dir: Path) -> dict[tuple[str, str], Path]:
-    """ModelNet layout: <dir>/<category>/[train|test/]<model>.off (or .ply)."""
+    """ModelNet layout: <dir>/<category>/[train|test/]<model>.off (or .ply). The
+    model id is the file stem; two meshes with one id in a category raise
+    ``ValueError`` naming both."""
     out: dict[tuple[str, str], Path] = {}
     for cat_dir in sorted(p for p in mesh_dir.iterdir() if p.is_dir()):
         for f in sorted(cat_dir.rglob("*")):
             if f.suffix.lower() in (".off", ".ply") and f.is_file():
-                out[(cat_dir.name, f.stem)] = f
+                first = out.setdefault((cat_dir.name, f.stem), f)
+                if first != f:
+                    raise ValueError(f"meshes {first} and {f} share model id {f.stem!r}")
     return out
 
 
@@ -131,10 +135,6 @@ def _load_manifest(data: Path, image_side: int) -> Manifest:
     return manifest
 
 
-def _build_model(o) -> DuInNet:
-    return DuInNet(make_config(o.profile, **_given(o, ["n_img_blocks"])), seed=o.seed)
-
-
 def _score(model: DuInNet, samples, records) -> list[metrics.MetricReport]:
     """Score each sample's eval-mode ``p_gen2`` as it is made, recording no graph;
     a non-finite prediction raises ``FloatingPointError`` naming its record."""
@@ -153,9 +153,10 @@ def _score(model: DuInNet, samples, records) -> list[metrics.MetricReport]:
 
 
 def cmd_train(o) -> int:
-    manifest = _load_manifest(o.data, make_config(o.profile).image_side)
+    cfg = make_config(o.profile, **_given(o, ["n_img_blocks"]))
+    manifest = _load_manifest(o.data, cfg.image_side)
     samples, _ = _load_samples(o.data, manifest, o.task, "train", o.seed, o.limit)
-    state = TrainState(_build_model(o), **_given(o, ["lr", "decay_steps"]))
+    state = TrainState(DuInNet(cfg, seed=o.seed), **_given(o, ["lr", "decay_steps"]))
     o.out.mkdir(parents=True, exist_ok=True)
     ckpt = o.out / "checkpoint.ckpt"
     if o.resume:
@@ -175,9 +176,10 @@ def cmd_train(o) -> int:
 
 
 def cmd_eval(o) -> int:
-    manifest = _load_manifest(o.data, make_config(o.profile).image_side)
+    cfg = make_config(o.profile, **_given(o, ["n_img_blocks"]))
+    manifest = _load_manifest(o.data, cfg.image_side)
     samples, records = _load_samples(o.data, manifest, o.task, "test", o.seed, o.limit)
-    model = _build_model(o)
+    model = DuInNet(cfg, seed=o.seed)
     if o.checkpoint:
         arrays = T.load_checkpoint(o.checkpoint)
         try:
@@ -213,27 +215,22 @@ def cmd_ablate(o) -> int:
     sums = {a + b for a, b in o.partitions}
     if len(sums) != 1:
         raise ConfigError(f"partitions disagree on total block count: {sorted(sums)}")
-    n_blocks = sums.pop()
-    base = mini_config()
-    if base.N % n_blocks:
-        raise ConfigError(f"{n_blocks} blocks do not divide N={base.N}")
-    manifest = _load_manifest(o.data, base.image_side)
+    configs = [mini_config(n_blocks=a + b, n_img_blocks=a) for a, b in o.partitions]
+    manifest = _load_manifest(o.data, configs[0].image_side)
     splits = {task: [_load_samples(o.data, manifest, task, part, o.seed, o.limit)
                      for part in ("train", "test")]
               for task in TASKS}
     rows = ["n_img\tn_pc\ttask\tCD-l1(x1e-3)\tCD-l2(x1e-3)\tFS"]
-    for n_img, n_pc in o.partitions:
+    for cfg in configs:
         for task, ((train, _), (test, test_records)) in splits.items():
-            cfg = mini_config(n_blocks=n_blocks, n_img_blocks=n_img,
-                              block_points=base.N // n_blocks)
             model = DuInNet(cfg, seed=o.seed)
             state = TrainState(model)
             mode = "denoising" if task == "denoising" else "standard"
             train_loop(state, train, o.steps, mode=mode)
             rep = metrics.summarize(_score(model, test, test_records),
                                     [r.category for r in test_records])
-            rows.append(f"{n_img}\t{n_pc}\t{task}\t{rep.cd_l1 * 1e3:.3f}\t"
-                        f"{rep.cd_l2 * 1e3:.3f}\t{rep.fscore:.3f}")
+            rows.append(f"{cfg.n_img_blocks}\t{cfg.n_pc_blocks}\t{task}\t"
+                        f"{rep.cd_l1 * 1e3:.3f}\t{rep.cd_l2 * 1e3:.3f}\t{rep.fscore:.3f}")
     o.out.mkdir(parents=True, exist_ok=True)
     (o.out / "ablation_table.tsv").write_text("\n".join(rows) + "\n")
     print("\n".join(rows))

@@ -94,6 +94,10 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_viewpoints < 2:
+            raise ConfigError(f"n_viewpoints={self.n_viewpoints} must be >= 2")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ConfigError(f"noise_sigma={self.noise_sigma} must be finite and >= 0")
         if self.image_side <= 0 or self.image_side % 16:
             raise ConfigError(f"image_side={self.image_side} must be a positive multiple of 16 "
                               "(the image encoder downsamples by 16)")

@@ -82,48 +82,39 @@ def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return g
 
 
-def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    if analytic.size == 0:
-        return 0.0
-    denom = np.maximum(np.abs(numeric), 1.0)
-    return float((np.abs(analytic - numeric) / denom).max())
+def _max_err(forward, tensors, eps: float = 1e-5) -> float:
+    """Max relative error of d forward() / d tensor over every entry of ``tensors``.
+
+    ``forward`` is a zero-argument callable building a fresh scalar graph from
+    the tensors' current data, which only the differencing perturbs.
+    """
+    forward().backward()
+    worst = 0.0
+    for t in tensors:
+        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
+        numeric = finite_diff(lambda: float(forward().data), t.data, eps)
+        err = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1.0)
+        worst = max(worst, float(err.max(initial=0.0)))
+    return worst
 
 
 def check_fn(build, inputs: list[np.ndarray], eps: float = 1e-5) -> float:
     """Max relative error over all inputs of scalar-valued ``build(*tensors)``.
 
     ``build`` must construct a fresh graph from leaf tensors on each call.
-    The caller's arrays are copied to float64 leaves; only the copies are
-    perturbed during differencing.
+    The caller's arrays are copied to float64 leaves.
     """
     leaves = [Tensor(np.ascontiguousarray(x, dtype=np.float64), requires_grad=True)
               for x in inputs]
-    out = build(*leaves)
-    out.backward()
-    worst = 0.0
-    for leaf in leaves:
-        numeric = finite_diff(lambda: float(build(*leaves).data), leaf.data, eps)
-        analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        worst = max(worst, rel_err(analytic, numeric))
-    return worst
+    return _max_err(lambda: build(*leaves), leaves, eps)
 
 
 def check_module_params(module: Module, forward, eps: float = 1e-5) -> float:
-    """Max relative error of d forward() / d params over every parameter entry.
-
-    ``forward`` is a zero-argument callable returning a scalar Tensor built
-    from the module's current parameters, which are cast to float64 first.
-    """
+    """Max relative error of d forward() / d params over every parameter entry;
+    the parameters are cast to float64 first."""
     module.to_dtype(np.float64)
-    out = forward()
     module.zero_grad()
-    out.backward()
-    worst = 0.0
-    for _, p in module.named_parameters():
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        numeric = finite_diff(lambda: float(forward().data), p.data, eps)
-        worst = max(worst, rel_err(analytic, numeric))
-    return worst
+    return _max_err(forward, module.parameters(), eps)
 
 
 def gradient_suite(rng: np.random.Generator):

@@ -281,7 +281,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def bw(g):
         a._accumulate(g.reshape(old))
 
-    return _make(np.ascontiguousarray(a.data.reshape(shape)), "reshape", (a,), bw)
+    return _make(a.data.reshape(shape), "reshape", (a,), bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -329,7 +329,7 @@ def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
 def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     def bw(g):
         ge = g if keepdims or axis is None else np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(ge, a.shape).copy())
+        a._accumulate(np.broadcast_to(ge, a.shape))
 
     return _make(a.data.sum(axis=axis, keepdims=keepdims), "reduce_sum", (a,), bw)
 
@@ -339,7 +339,7 @@ def reduce_mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> T
 
     def bw(g):
         ge = g if keepdims or axis is None else np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(ge / n, a.shape).copy())
+        a._accumulate(np.broadcast_to(ge / n, a.shape))
 
     return _make(a.data.mean(axis=axis, keepdims=keepdims), "reduce_mean", (a,), bw)
 
@@ -543,7 +543,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, stride: int = 1, padding: int
         np.matmul(xq[k, r : r + n], wij, out=prod)
         acc += prod
     out = acc.reshape(Ho, Wq, Cout)[:, :Wo]
-    out_data = out + b.data if b is not None else np.ascontiguousarray(out)
+    out_data = out + b.data if b is not None else out
     parents = (x, w) if b is None else (x, w, b)
 
     def bw(g):

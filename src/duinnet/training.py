@@ -82,8 +82,9 @@ def train_loop(state: TrainState, samples, steps: int, mode: str = "standard",
     """Cycle through ``samples`` (list of (partial, image, gt)) in order.
 
     Writes (step, loss) rows to the curve file as it goes, a fresh file at step
-    0 and appended to on resume, and checkpoints every 100 steps; a non-finite
-    loss raises FloatingPointError from ``TrainState.train_step``.
+    0 and appended to on resume, and checkpoints every 100 steps and after the
+    last step, never twice at one step; a non-finite loss raises
+    FloatingPointError from ``TrainState.train_step``.
     """
     curve: list[tuple[int, float]] = []
     f = open(curve_path, "a" if state.step else "w") if curve_path else None
@@ -102,6 +103,6 @@ def train_loop(state: TrainState, samples, steps: int, mode: str = "standard",
     finally:
         if f:
             f.close()
-    if checkpoint_path:
+    if checkpoint_path and (steps == 0 or state.step % 100):
         state.save(checkpoint_path)
     return curve

@@ -128,6 +128,22 @@ def test_gen_reads_upper_case_off_suffix(tmp_path):
     assert json.loads((out / "generation_report.json").read_text())["mesh_errors"] == []
 
 
+@pytest.mark.parametrize("first,second", [("train/chair_0001.off", "test/chair_0001.off"),
+                                          ("chair_0002.off", "chair_0002.ply")])
+def test_gen_rejects_two_meshes_with_one_model_id(tmp_path, capsys, first, second):
+    mesh_dir = tmp_path / "meshes"
+    for rel in (first, second):
+        (mesh_dir / "chair" / rel).parent.mkdir(parents=True, exist_ok=True)
+        save_off(mesh_dir / "chair" / rel, box_mesh())
+    capsys.readouterr()
+    assert main(["gen", "--mesh-dir", str(mesh_dir), "--out", str(tmp_path / "out"),
+                 "--n-points", "64", "--n-viewpoints", "2", "--image-side", "32"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: meshes") and "Traceback" not in err
+    assert str(mesh_dir / "chair" / first) in err and str(mesh_dir / "chair" / second) in err
+    assert not (tmp_path / "out").exists()  # rejected before any synthesis
+
+
 def test_limit_takes_categories_round_robin(cli_workspace):
     _, _, data = cli_workspace
     manifest = Manifest.load(data / "manifest.json")
@@ -362,7 +378,7 @@ def test_eval_checkpoint_config_mismatch(cli_workspace, tmp_path):
     base, _, data = cli_workspace
     import duinnet.tensor as T
     from duinnet.model import DuInNet, mini_config
-    other = DuInNet(mini_config(C=16, heads=4), seed=0)
+    other = DuInNet(mini_config(C=16), seed=0)
     bad = tmp_path / "bad.ckpt"
     T.save_checkpoint(bad, other.state_dict())
     assert main(["eval", "--data", str(data), "--out", str(tmp_path / "run"),
@@ -560,6 +576,14 @@ _EXIT_CASES = {
                                             "--n-points", "-5"], {}, EXIT_CONFIG, "--n-points"),
     "gen-negative-seed": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t), "--seed", "-1"],
                           {}, EXIT_CONFIG, "--seed"),
+    "gen-one-viewpoint": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t), "--n-viewpoints", "1"],
+                          {}, EXIT_CONFIG, "n_viewpoints=1"),
+    "gen-negative-noise-sigma": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t),
+                                               "--noise-sigma", "-1"],
+                                 {}, EXIT_CONFIG, "noise_sigma=-1.0"),
+    "gen-nan-noise-sigma": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t),
+                                          "--noise-sigma", "nan"],
+                            {}, EXIT_CONFIG, "noise_sigma=nan"),
     "gen-no-record": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t), "--n-points", "0"],
                       {}, EXIT_DATA, "no record written"),
     "gen-image-side-zero": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t), "--image-side", "0"],

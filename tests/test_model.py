@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,23 +43,31 @@ def test_config_profiles():
 
 
 @pytest.mark.parametrize("overrides", [
-    dict(n_blocks=3),                      # 3 * 64 != 256
+    dict(n_blocks=3),                      # 3 does not divide 256
     dict(n_img_blocks=5),                  # outside [0, 4]
-    dict(heads=5),                         # 32 % 5 != 0
-    dict(C=30, heads=2),                   # C not divisible by 4
-    dict(N=200, n_blocks=4, block_points=50),  # N not divisible by 16
+    dict(C=30),                            # C not divisible by 4
+    dict(N=200),                           # N not divisible by 16
     dict(image_side=40),                   # not divisible by 16
     dict(k=0),                             # no neighbours to group
+    dict(image_side=0),                    # not positive
 ])
 def test_config_invariant_violations(overrides):
     with pytest.raises(ConfigError):
         mini_config(**overrides)
 
 
-def test_config_json_roundtrip():
-    cfg = mini_config(n_img_blocks=1)
-    again = ModelConfig.from_json(cfg.to_json())
-    assert again == cfg
+def test_config_fields_are_the_sizes_that_vary():
+    assert [f.name for f in fields(ModelConfig)] == \
+        ["C", "N", "k", "n_blocks", "n_img_blocks", "image_side"]
+    with pytest.raises(TypeError):
+        mini_config(heads=2)
+
+
+def test_block_size_follows_n():
+    assert mini_config(N=512).block_points == 128
+    assert make_config("paper", n_blocks=8).block_points == 256
+    with pytest.raises(ConfigError, match="does not divide"):
+        mini_config(n_blocks=0)
 
 
 def test_make_config_unknown_profile():
@@ -235,7 +245,7 @@ def test_point_encoder_paper_shape():
 
 def test_point_encoder_rejects_bad_point_count():
     with pytest.raises(ConfigError):
-        mini_config(N=250, n_blocks=5, block_points=50)
+        mini_config(N=250, n_blocks=5)
 
 
 def test_point_encoder_permutation_invariant_row_set():

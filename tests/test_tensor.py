@@ -497,6 +497,7 @@ def test_scalar_outputs_stay_zero_dim():
     out = T.reduce_mean(T.tensor(np.ones((3, 2))))
     assert out.shape == ()
     assert float(out.data) == 1.0
+    assert T.reshape(T.tensor(np.ones((1, 1))), ()).shape == ()
 
 
 # -- checkpoint format -------------------------------------------------------------

@@ -67,6 +67,27 @@ def test_train_loop_writes_curve_rows(tmp_path, shapes):
     assert int(step) == 0 and float(loss) == pytest.approx(curve[0][1], rel=1e-6)
 
 
+class _CountingState:
+    """Stands in for ``TrainState``: a step adds one, a save records the step."""
+
+    def __init__(self):
+        self.step, self.saved = 0, []
+
+    def train_step(self, partial, image, gt, mode="standard"):
+        self.step += 1
+        return 0.0
+
+    def save(self, path):
+        self.saved.append(self.step)
+
+
+def test_train_loop_writes_each_checkpoint_once(tmp_path):
+    for steps, saved in ((0, [0]), (150, [100, 150]), (200, [100, 200])):
+        state = _CountingState()
+        train_loop(state, [(None, None, None)], steps, checkpoint_path=tmp_path / "c.ckpt")
+        assert state.saved == saved, steps
+
+
 def test_train_loop_raises_on_nonfinite_loss(shapes):
     state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
     state.named["apg.pc_blocks.0.linear2.weight"].data[...] = np.nan
