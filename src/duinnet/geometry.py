@@ -9,6 +9,8 @@ OFF/PLY ingestion and PLY emission.
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -223,7 +225,7 @@ def poisson_disk_sample(mesh: TriMesh, n: int, seed: int = 0) -> PointCloud:
     area = mesh.face_areas().sum()
     r_target = np.sqrt(area / (2 * np.sqrt(3.0) * n))
     keep = _eliminate_samples(pts, n, 2.0 * r_target)
-    return PointCloud(pts[np.sort(keep)])
+    return PointCloud(pts[keep])
 
 
 def _eliminate_samples(pts: np.ndarray, n: int, r_max: float) -> np.ndarray:
@@ -231,16 +233,18 @@ def _eliminate_samples(pts: np.ndarray, n: int, r_max: float) -> np.ndarray:
 
     Each pair closer than r_max adds (1 - d/r_max)**8 to both weights (Yuksel
     2015). The sample with the highest current weight is removed next, the
-    lowest index on ties, and its weight is subtracted from its live
-    neighbours. Weights only ever decrease, so a heap entry is never too low:
-    a popped entry that no longer matches its sample's weight is pushed again
-    with the current one, and the first matching pop is the true maximum.
+    lowest index on ties, and its weight is subtracted from its neighbours.
+    Each live sample has one int heap key: its weight's float64 bits made
+    order-preserving (a negative pattern maps to minus its magnitude, so -0.0
+    ties +0.0 as floats do), negated and shifted above the index. Weights
+    only decrease, so a key is never too low: a stale top key is replaced by
+    the current one, and the first matching top is the true maximum. A dead
+    sample has no key, so a removal decrements its neighbours without a mask.
 
-    Neighbours are CSR arrays. The initial weights sum each sample's pairs in
-    ``query_pairs`` order, and each decrement rounds exactly as the scalar
-    ``(1 - np.linalg.norm(pts[i] - pts[j]) / r_max) ** 8``, so the removal
-    order is bit-for-bit that of the per-neighbour loop the tests keep as an
-    oracle.
+    The initial weights sum each sample's pairs in ``query_pairs`` order, and
+    each decrement rounds exactly as the scalar ``(1 - np.linalg.norm(pts[i]
+    - pts[j]) / r_max) ** 8``, once per neighbour (a row's are distinct), so
+    the removal order is bit-for-bit that of the oracle loop in the tests.
     """
     m = len(pts)
     pairs = cKDTree(pts).query_pairs(r_max, output_type="ndarray")
@@ -248,37 +252,34 @@ def _eliminate_samples(pts: np.ndarray, n: int, r_max: float) -> np.ndarray:
     w_init = (1.0 - np.linalg.norm(diff, axis=1) / r_max) ** 8
     weights = np.bincount(pairs.ravel(), weights=np.repeat(w_init, 2),
                           minlength=m).astype(np.float64)  # int64 when empty
-    # A decrement must round like the scalar np.linalg.norm (a 1-D dot) and
-    # the scalar libm pow; np.linalg.norm(axis=1) and array np.power can each
-    # differ by an ulp.
+    # A decrement must round like the scalar np.linalg.norm (a 1-D dot) and libm
+    # pow(x, 8.0) (x ** 8, math.pow); norm(axis=1) and np.power can differ by an ulp.
     d_scalar = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).ravel())
-    w_pair = np.array([x ** 8 for x in (1.0 - d_scalar / r_max).tolist()])
+    w_pair = np.fromiter(map(math.pow, (1.0 - d_scalar / r_max).tolist(), itertools.repeat(8.0)),
+                         np.float64, len(d_scalar))
 
     src = pairs.ravel()
-    order = np.argsort(src, kind="stable")
+    order = np.argsort(src)
     nbr = pairs[:, ::-1].ravel()[order]
     w_edge = np.repeat(w_pair, 2)[order]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=m))])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=m))]).tolist()
 
-    alive = np.ones(m, dtype=bool)
-    heap = list(zip((-weights).tolist(), range(m)))
+    bits, mag, shift = weights.view(np.int64), (1 << 63) - 1, m.bit_length()
+    low = (1 << shift) - 1
+    heap = [(b & mag if b < 0 else -b) << shift | i for i, b in enumerate(bits.tolist())]
     heapq.heapify(heap)
-    remaining = m
-    while remaining > n:
-        negw, i = heapq.heappop(heap)
-        if not alive[i]:
-            continue
-        w = float(weights[i])
-        if -negw != w:  # stale entry
-            heapq.heappush(heap, (-w, i))
-            continue
-        alive[i] = False
-        remaining -= 1
+    for _ in range(m - n):
+        while True:
+            i = heap[0] & low
+            b = bits.item(i)
+            key = (b & mag if b < 0 else -b) << shift | i
+            if key == heap[0]:
+                break
+            heapq.heapreplace(heap, key)  # stale: its weight fell
+        heapq.heappop(heap)
         lo, hi = indptr[i], indptr[i + 1]
-        js = nbr[lo:hi]
-        live = alive[js]
-        weights[js[live]] -= w_edge[lo:hi][live]
-    return np.flatnonzero(alive)
+        weights[nbr[lo:hi]] -= w_edge[lo:hi]
+    return np.sort(np.array([key & low for key in heap], dtype=np.int64))
 
 
 # -- visibility ----------------------------------------------------------------
@@ -319,7 +320,7 @@ def hidden_point_removal(cloud: PointCloud, viewpoint, cfg: HPRConfig | None = N
         except QhullError as exc:
             raise GeometryError(f"no visibility hull even after jitter: {exc}") from exc
         jittered = True
-    visible = np.array(sorted(i for i in hull.vertices if i < len(pts)), dtype=np.int64)
+    visible = np.sort(hull.vertices[hull.vertices < len(pts)]).astype(np.int64)
     return HPRResult(visible, jittered)
 
 
@@ -449,8 +450,7 @@ def save_cloud_ply(path, cloud: PointCloud) -> None:
         f.write(f"element vertex {len(pts)}\n")
         f.write("property float x\nproperty float y\nproperty float z\n")
         f.write("end_header\n")
-        for x, y, z in pts:
-            f.write(f"{x:.8g} {y:.8g} {z:.8g}\n")
+        f.write(("%.8g %.8g %.8g\n" * len(pts)) % tuple(pts.ravel().tolist()))
 
 
 def load_cloud_ply(path) -> PointCloud:

@@ -14,7 +14,7 @@ from scipy.spatial import cKDTree
 
 from duinnet import tensor as T
 from duinnet.datasetgen import UNSEEN_CATEGORIES, Manifest, SampleRecord
-from duinnet.geometry import TriMesh
+from duinnet.geometry import PointCloud, TriMesh
 from duinnet.metrics import MetricReport
 
 
@@ -271,9 +271,13 @@ def batch_norm_1d_stored_oracle(x: T.Tensor, gain: T.Tensor, bias: T.Tensor,
 # -- synthesis oracles ---------------------------------------------------------
 
 
-def eliminate_samples_oracle(pts: np.ndarray, n: int, r_max: float) -> np.ndarray:
+def eliminate_samples_oracle(pts: np.ndarray, n: int, r_max: float,
+                             removed_weights: list | None = None) -> np.ndarray:
     """Weighted sample elimination as a per-neighbour loop with one heap push
-    per weight update: the reference for ``geometry._eliminate_samples``."""
+    per weight update: the reference for ``geometry._eliminate_samples``.
+
+    ``removed_weights``, when given, receives each removed sample's weight at
+    its removal, in removal order."""
     tree = cKDTree(pts)
     pairs = tree.query_pairs(r_max, output_type="ndarray")
     m = len(pts)
@@ -300,12 +304,26 @@ def eliminate_samples_oracle(pts: np.ndarray, n: int, r_max: float) -> np.ndarra
             continue
         alive[i] = False
         remaining -= 1
+        if removed_weights is not None:
+            removed_weights.append(weights[i])
         for j in neighbors[i]:
             if alive[j]:
                 d = np.linalg.norm(pts[i] - pts[j])
                 weights[j] -= (1.0 - d / r_max) ** 8
                 heapq.heappush(heap, (-weights[j], j))
     return np.flatnonzero(alive)
+
+
+def save_cloud_ply_oracle(path, cloud: PointCloud) -> None:
+    """The former ``geometry.save_cloud_ply``: one f-string write per point."""
+    pts = cloud.points.astype(np.float32)
+    with open(path, "w") as f:
+        f.write("ply\nformat ascii 1.0\n")
+        f.write(f"element vertex {len(pts)}\n")
+        f.write("property float x\nproperty float y\nproperty float z\n")
+        f.write("end_header\n")
+        for x, y, z in pts:
+            f.write(f"{x:.8g} {y:.8g} {z:.8g}\n")
 
 
 def render_depth_oracle(mesh: TriMesh, vp, side: int = 224,

@@ -10,8 +10,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from helpers import (box_mesh, eliminate_samples_oracle, fps_norm_loop_oracle,
-                     fps_replay_oracle, knn_argsort_oracle, knn_sort_oracle, save_off,
-                     square_mesh, uv_sphere)
+                     fps_replay_oracle, knn_argsort_oracle, knn_sort_oracle, save_cloud_ply_oracle,
+                     save_off, square_mesh, uv_sphere)
 
 from duinnet.geometry import (GeometryError, HPRConfig, PointCloud, TriMesh,
                               _eliminate_samples,
@@ -329,6 +329,30 @@ def test_eliminate_samples_oracle_property(cloud, r_max):
                                   eliminate_samples_oracle(pts, n, r_max))
 
 
+@pytest.mark.parametrize("mesh", [box_mesh(), uv_sphere(48, 96)], ids=["box", "sphere9024"])
+def test_eliminate_samples_matches_heap_oracle_at_benchmark_size(mesh):
+    # the benchmark's n: about 18k removals, and most heap tops are stale
+    n = 2048
+    pts = sample_on_mesh(mesh, 10 * n, np.random.default_rng(0))
+    r_max = 2.0 * np.sqrt(mesh.face_areas().sum() / (2 * np.sqrt(3.0) * n))
+    np.testing.assert_array_equal(_eliminate_samples(pts, n, r_max),
+                                  eliminate_samples_oracle(pts, n, r_max))
+
+
+def test_eliminate_samples_orders_weights_below_zero():
+    # Rounding leaves residual weights on either side of zero once most samples
+    # are gone; the last removals rank +0.0, tiny positive and negative weights.
+    pts = np.array([[0.95, 0.14, 0.95], [0.31, 0.42, 0.83], [0.41, 0.55, 0.03],
+                    [0.75, 0.54, 0.33], [0.79, 0.3, 0.45], [0.13, 0.4, 0.2],
+                    [0.26, 0.75, 0.28], [0.49, 0.98, 0.96], [0.72, 0.54, 0.28],
+                    [0.16, 0.97, 0.52], [0.12, 0.62, 0.78], [0.61, 0.92, 0.04],
+                    [0.53, 0.46, 0.06], [0.64, 0.85, 0.59], [0.26, 0.84, 0.51]])
+    removed: list[float] = []
+    expect = eliminate_samples_oracle(pts, 1, 0.6, removed_weights=removed)
+    assert np.signbit(removed).any()  # a live weight fell to -0.0 or below
+    np.testing.assert_array_equal(_eliminate_samples(pts, 1, 0.6), expect)
+
+
 def test_pds_degenerate_mesh_error():
     flat = TriMesh(np.zeros((3, 3)), np.array([[0, 1, 2]]))
     with pytest.raises(GeometryError):
@@ -579,6 +603,28 @@ def test_cloud_ply_roundtrip(tmp_path):
     loaded = load_cloud_ply(path)
     assert len(loaded) == 50
     np.testing.assert_allclose(loaded.points, pts, atol=1e-6)  # float32 emission
+
+
+def test_save_cloud_ply_matches_per_point_writer(tmp_path):
+    f32 = np.finfo(np.float32)
+    # signed zeros, the smallest subnormal, the float32 extremes, exponent
+    # forms and values that need all 8 significant digits
+    edge = np.array([[-0.0, 0.0, f32.smallest_subnormal], [f32.max, -f32.max, 1e-05],
+                     [-3.4e38, 1e20, 1 / 3], [-2 / 3, 123456.78, -1.1754944e-38]],
+                    dtype=np.float32)
+    rng = np.random.default_rng(15)
+    spread = rng.standard_normal((400, 3)) * 10.0 ** rng.integers(-40, 38, (400, 1))
+    for name, pts in (("edge", edge), ("one", edge[:1]), ("spread", spread.astype(np.float32))):
+        cloud = PointCloud(pts.astype(np.float64))
+        save_cloud_ply(tmp_path / f"{name}.ply", cloud)
+        save_cloud_ply_oracle(tmp_path / f"{name}_oracle.ply", cloud)
+        assert (tmp_path / f"{name}.ply").read_bytes() == \
+            (tmp_path / f"{name}_oracle.ply").read_bytes()
+    body = (tmp_path / "edge.ply").read_text().split("end_header\n")[1]
+    assert body.splitlines() == ["-0 0 1.4012985e-45", "3.4028235e+38 -3.4028235e+38 9.9999997e-06",
+                                 "-3.4e+38 1e+20 0.33333334",
+                                 "-0.66666669 123456.78 -1.1754944e-38"]
+    assert (tmp_path / "one.ply").read_text().endswith("end_header\n-0 0 1.4012985e-45\n")
 
 
 def test_mesh_normalized_invariants():
