@@ -64,10 +64,14 @@ class Module:
             p.grad = None
 
     def to_dtype(self, dtype):
-        """Convert all parameters and buffers in place (for 64-bit grad checks)."""
+        """Convert all parameters and buffers in place (for 64-bit grad checks).
+
+        Converted parameters leave any ``Adam`` arena that held them, and that
+        optimizer's ``step`` raises from then on.
+        """
         for p in self.parameters():
             p.data = p.data.astype(dtype)
-            p.grad = None
+            p.grad = p._grad_buf = None
         for m in self.modules():
             for name in m.buffer_names:
                 setattr(m, name, getattr(m, name).astype(dtype))
@@ -125,7 +129,7 @@ class Linear(Module):
         self.bias = Tensor(_uniform_init(rng, (out_dim,), in_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight), self.bias)
+        return T.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -188,29 +192,85 @@ class LBR(Module):
 
 class Adam:
     """Adam with betas (0.9, 0.999) and eps 1e-8; ``TrainState`` sets ``lr``
-    for its step-decay schedule."""
+    for its step-decay schedule.
+
+    It owns its parameters' storage, as the flat parameter of PyTorch FSDP
+    does (Zhao et al. 2023, arXiv:2304.11277): each ``p.data``, gradient
+    (written there by ``Tensor._accumulate``) and moment ``m[i]``, ``v[i]`` is
+    a C-contiguous view of one of four flat arrays. ``step`` runs the
+    per-array operations, in their order, over each maximal run of
+    consecutive parameters that have a gradient, ``CHUNK`` elements at a
+    time, so the bits equal a loop over the arrays; a parameter whose
+    ``grad`` is None is skipped, and its moments do not decay. A later Adam
+    over the same parameters takes them over; once a ``p.data`` is no longer
+    this arena's view (that, or ``Module.to_dtype``), ``step`` raises.
+    """
+
+    CHUNK = 32768  # elements per update pass; whole-run temporaries were slower
 
     def __init__(self, params: list[Tensor], lr: float = 1e-4):
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        if len({p.dtype for p in params}) > 1:
+            raise ValueError("Adam: parameters of mixed dtypes cannot share one arena")
+        self._bounds = np.cumsum([0] + [p.data.size for p in params]).tolist()
+        self._data = np.concatenate([p.data.ravel() for p in params])
+        self._grad = np.empty_like(self._data)
+        self._m, self._v = np.zeros_like(self._data), np.zeros_like(self._data)
+        self.m, self.v = [], []
+        for p, lo, hi in zip(params, self._bounds, self._bounds[1:]):
+            p.data = self._data[lo:hi].reshape(p.shape)
+            p._grad_buf = self._grad[lo:hi].reshape(p.shape)
+            self.m.append(self._m[lo:hi].reshape(p.shape))
+            self.v.append(self._v[lo:hi].reshape(p.shape))
+        self._owned = [p.data for p in params]
+
+    def _runs(self) -> list[list[int]]:
+        """[first, last + 1) parameter indices of each maximal run of
+        consecutive parameters that have a gradient, with every such gradient
+        in the arena (one assigned from outside is copied in)."""
+        runs: list[list[int]] = []
+        for i, (p, data) in enumerate(zip(self.params, self._owned)):
+            if p.data is not data:
+                raise RuntimeError(f"Adam: parameter {i} {p.shape} no longer lives in this "
+                                   "optimizer's arena (taken over by another Adam, or "
+                                   "rebound by to_dtype); build a new optimizer")
+            if p.grad is None:
+                continue
+            if p.grad is not p._grad_buf:
+                np.copyto(p._grad_buf, p.grad)
+            if runs and runs[-1][1] == i:
+                runs[-1][1] = i + 1
+            else:
+                runs.append([i, i + 1])
+        return runs
+
+    def nonfinite_grad(self) -> int | None:
+        """Index of the first parameter whose gradient holds a NaN or an
+        infinity, or None; one ``isfinite`` pass per run of gradients."""
+        for i, j in self._runs():
+            if not np.isfinite(self._grad[self._bounds[i]:self._bounds[j]]).all():
+                return next(k for k in range(i, j)
+                            if not np.isfinite(self.params[k].grad).all())
+        return None
 
     def step(self) -> None:
         b1, b2 = 0.9, 0.999
+        runs = self._runs()
         self.t += 1
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
-            g = p.grad
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+        for i, j in runs:
+            end = self._bounds[j]
+            for lo in range(self._bounds[i], end, self.CHUNK):
+                s = slice(lo, min(lo + self.CHUNK, end))
+                g, m, v = self._grad[s], self._m[s], self._v[s]
+                m *= b1
+                m += (1 - b1) * g
+                v *= b2
+                v += (1 - b2) * g * g
+                self._data[s] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
     def zero_grad(self) -> None:
         for p in self.params:

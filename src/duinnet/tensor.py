@@ -6,6 +6,9 @@ topologically orders the recorded graph (a :class:`GradTape`) and replays it
 in reverse, accumulating gradients into every reachable leaf that has
 ``requires_grad`` set. An intermediate node's gradient is dropped as soon as
 its own backward closure has run; inside :class:`no_grad` nothing is recorded.
+A node's first gradient is written into a fresh C-ordered buffer, or, for a
+parameter an ``nn.Adam`` owns, into that parameter's view of the optimizer's
+flat gradient arena, so the optimizer reads every gradient without a copy.
 
 Two precisions are supported: float32 (training default) and float64
 (gradient-check suites). The default is switchable via
@@ -44,7 +47,7 @@ class DimensionError(ValueError):
 class Tensor:
     """A dense n-dimensional array node in a reverse-mode autodiff graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_op", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_op", "_parents", "_backward", "_grad_buf")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -58,6 +61,7 @@ class Tensor:
         self._op = "leaf"
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._grad_buf: np.ndarray | None = None  # set while an nn.Adam owns this leaf
 
     # -- basic introspection -------------------------------------------------
 
@@ -79,9 +83,15 @@ class Tensor:
     # -- graph machinery -----------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` (broadcast to this node's shape) into ``grad``. The first
+        ``g`` is one ``np.add(g, 0, out=buf)`` into a fresh buffer or the owning
+        optimizer's arena view: the bits of ``zeros_like(data) += g``, C order
+        included (sums over an F-ordered gradient round differently)."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g.astype(self.data.dtype, copy=False)
+            buf = self._grad_buf
+            self.grad = np.add(g, 0, out=np.empty_like(self.data) if buf is None else buf)
+        else:
+            self.grad += g.astype(self.data.dtype, copy=False)
 
     def backward(self) -> "GradTape":
         """Backpropagate from this (scalar) tensor through the recorded graph."""
@@ -263,6 +273,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(a.data @ b.data, "matmul", (a, b), bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for (n, i) ``x``, (i, o) ``w`` and (o,) ``b``, as one node;
+    outputs and gradients are bit-identical to ``add(matmul(x, w), b)``."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
+    out = x.data @ w.data
+    out += b.data
+
+    def bw(g):
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+
+    return _make(out, "linear", (x, w, b), bw)
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:

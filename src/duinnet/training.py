@@ -41,10 +41,10 @@ class TrainState:
             value = float(loss.data)
             if not np.isfinite(value):
                 raise FloatingPointError(f"non-finite loss at step {self.step}")
-            for name, p in self.named.items():
-                if p.grad is not None and not np.isfinite(p.grad).all():
-                    raise FloatingPointError(
-                        f"non-finite gradient of '{name}' at step {self.step}")
+            bad = self.opt.nonfinite_grad()
+            if bad is not None:
+                raise FloatingPointError(
+                    f"non-finite gradient of '{list(self.named)[bad]}' at step {self.step}")
         except BaseException:
             for buf, saved in buffers:
                 np.copyto(buf, saved)

@@ -268,6 +268,29 @@ def batch_norm_1d_stored_oracle(x: T.Tensor, gain: T.Tensor, bias: T.Tensor,
     return T._make(out_data, "batch_norm_1d", (x, gain, bias), bw)
 
 
+def linear_unfused_oracle(x: T.Tensor, w: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """The former ``nn.Linear`` body: a matmul node, then a bias-add node."""
+    return T.add(T.matmul(x, w), b)
+
+
+def adam_per_array_oracle(params: list[T.Tensor], m: list[np.ndarray], v: list[np.ndarray],
+                          t: int, lr: float) -> None:
+    """The former ``nn.Adam.step`` at step ``t`` (counted from 1): one pass over
+    each parameter's own arrays, skipping a parameter without a gradient."""
+    b1, b2 = 0.9, 0.999
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for p, mi, vi in zip(params, m, v):
+        if p.grad is None:
+            continue
+        g = p.grad
+        mi *= b1
+        mi += (1 - b1) * g
+        vi *= b2
+        vi += (1 - b2) * g * g
+        p.data -= lr * (mi / bc1) / (np.sqrt(vi / bc2) + 1e-8)
+
+
 # -- synthesis oracles ---------------------------------------------------------
 
 

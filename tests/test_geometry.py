@@ -186,6 +186,14 @@ def test_fps_knn_match_oracles_with_nan_points():
         np.testing.assert_array_equal(knn(pts, pts, k), knn_argsort_oracle(pts, pts, k))
 
 
+@pytest.mark.parametrize("k", [30, 15, 14], ids=["n", "half", "below_half"])
+def test_knn_full_sort_threshold_matches_oracle(k):
+    # from k = n / 2 up, knn sorts whole rows; one below, it partitions first
+    pts = np.random.default_rng(12).integers(-2, 3, size=(30, 3)).astype(np.float64)
+    pts[[4, 21]] = np.nan
+    np.testing.assert_array_equal(knn(pts, pts, k), knn_argsort_oracle(pts, pts, k))
+
+
 # -- nearest -----------------------------------------------------------------------
 
 
@@ -318,13 +326,20 @@ def test_eliminate_samples_exact_weight_ties(n):
 _lattice = st.integers(-3, 3).map(lambda k: k / 4.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 40).flatmap(lambda m: st.tuples(
-           arrays(np.float64, (m, 3), elements=st.one_of(_lattice, st.floats(-1, 1))),
-           st.integers(1, m))),
-       st.floats(0.05, 2.0))
-def test_eliminate_samples_oracle_property(cloud, r_max):
-    pts, n = cloud
+# Small unit-cube clouds cut to 1-3 samples, as in the pinned case below: the
+# last removals rank residual weights that rounding left at or below zero.
+_crowded = st.tuples(st.integers(6, 20).flatmap(
+    lambda m: arrays(np.float64, (m, 3), elements=st.floats(0, 1))), st.integers(1, 3))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+           st.tuples(st.integers(2, 40).flatmap(lambda m: st.tuples(
+               arrays(np.float64, (m, 3), elements=st.one_of(_lattice, st.floats(-1, 1))),
+               st.integers(1, m))), st.floats(0.05, 2.0)),
+           st.tuples(_crowded, st.floats(0.4, 0.8))))
+def test_eliminate_samples_oracle_property(case):
+    (pts, n), r_max = case
     np.testing.assert_array_equal(_eliminate_samples(pts, n, r_max),
                                   eliminate_samples_oracle(pts, n, r_max))
 

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (batch_norm_1d_stored_oracle, conv2d_im2col_oracle, gather_add_at_oracle,
-                     reduce_select_add_at_oracle)
+                     linear_unfused_oracle, reduce_select_add_at_oracle)
 
+from duinnet import nn
 from duinnet import tensor as T
 from duinnet.gradcheck import PRIMITIVE_CHECKS, check_fn
 from duinnet.tensor import DimensionError, Tensor
@@ -498,6 +499,81 @@ def test_scalar_outputs_stay_zero_dim():
     assert out.shape == ()
     assert float(out.data) == 1.0
     assert T.reshape(T.tensor(np.ones((1, 1))), ()).shape == ()
+
+
+# -- fused linear and the first gradient ---------------------------------------------
+
+
+def _linear_value_and_grads(build, xd, wd, bd, upstream):
+    """Output and x, w, b gradients of ``build`` with ``upstream`` fed to its
+    output node's backward, then to any node that backward reached."""
+    x, w, b = (T.tensor(a, requires_grad=True) for a in (xd, wd, bd))
+    out = build(x, w, b)
+    out._backward(upstream)
+    for node in out._parents:
+        if node._backward is not None:
+            node._backward(node.grad)
+    return [out.data, x.grad, w.grad, b.grad]
+
+
+@pytest.mark.parametrize("layout", ["c", "f"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_matches_unfused_oracle(dtype, layout):
+    """One ``linear`` node against ``add(matmul(x, w), b)``: output and the
+    three gradients are the same bits, also for a transposed, F-ordered
+    upstream gradient with -0.0 entries."""
+    rng = np.random.default_rng(14)
+    xd = rng.standard_normal((37, 19)).astype(dtype)
+    wd = rng.standard_normal((19, 23)).astype(dtype)
+    bd = rng.standard_normal(23).astype(dtype)
+    upstream = rng.standard_normal((37, 23)).astype(dtype)
+    upstream[4] = -0.0
+    if layout == "f":
+        upstream = np.ascontiguousarray(upstream.T).T
+        assert upstream.flags.f_contiguous and not upstream.flags.c_contiguous
+    got = _linear_value_and_grads(T.linear, xd, wd, bd, upstream)
+    want = _linear_value_and_grads(linear_unfused_oracle, xd, wd, bd, upstream)
+    for name, g, o in zip(("out", "dx", "dw", "db"), got, want):
+        assert g.dtype == o.dtype and g.tobytes() == o.tobytes(), name
+
+
+def test_linear_is_one_node_and_checks_shapes():
+    x = T.tensor(np.ones((4, 3)), requires_grad=True)
+    w, b = T.tensor(np.ones((3, 2))), T.tensor(np.ones(2))
+    tape = T.reduce_sum(T.linear(x, w, b)).backward()
+    assert [n._op for n in tape.entries if n._op != "leaf"] == ["linear", "reduce_sum"]
+    for xs, ws, bs in [((2, 4, 3), (3, 2), (2,)), ((4, 3), (4, 2), (2,)), ((4, 3), (3, 2), (3,))]:
+        with pytest.raises(DimensionError):
+            T.linear(T.tensor(np.ones(xs)), T.tensor(np.ones(ws)), T.tensor(np.ones(bs)))
+
+
+_FIRST_GRADIENTS = {
+    "negative_zero": ((3, 4), np.float32, np.full((3, 4), -0.0, np.float32)),
+    "transposed_view": ((3, 5), np.float32,
+                        np.arange(15, dtype=np.float32).reshape(5, 3).T * np.float32(-0.7)),
+    "broadcast_row": ((6, 4), np.float32, np.array([1.5, -0.0, -2.25, 3e-8], np.float32)),
+    "float64_into_float32": ((2, 3), np.float32,
+                             np.random.default_rng(15).standard_normal((2, 3)) / 3),
+}
+
+
+@pytest.mark.parametrize("owned", [False, True], ids=["fresh", "arena"])
+@pytest.mark.parametrize("case", list(_FIRST_GRADIENTS))
+def test_first_gradient_matches_zero_fill(case, owned):
+    """``_accumulate``'s first gradient has the bits, dtype and C order of
+    ``zeros_like(data) += g``; in an optimizer's arena it lands in the
+    parameter's arena view."""
+    shape, dtype, g = _FIRST_GRADIENTS[case]
+    leaf = T.tensor(np.zeros(shape, dtype), requires_grad=True)
+    if owned:
+        nn.Adam([leaf])
+    want = np.zeros(shape, dtype)
+    for _ in range(2):  # the first gradient, then one accumulated onto it
+        leaf._accumulate(g)
+        want += g.astype(dtype, copy=False)
+        assert leaf.grad.dtype == want.dtype and leaf.grad.flags.c_contiguous
+        assert leaf.grad.tobytes() == want.tobytes()
+    assert (leaf.grad is leaf._grad_buf) == owned
 
 
 # -- checkpoint format -------------------------------------------------------------

@@ -7,10 +7,11 @@ import re
 import numpy as np
 import pytest
 
-from helpers import overfit_shapes
+from helpers import adam_per_array_oracle, overfit_shapes
 
 from duinnet import tensor as T
 from duinnet.model import DuInNet, mini_config
+from duinnet.nn import Adam
 from duinnet.training import TrainState, train_loop
 
 
@@ -286,3 +287,104 @@ def test_checkpoint_resume_reproduces_uninterrupted_run(tmp_path, shapes):
     for (s1, l1), (s2, l2) in zip(full_curve[3:], tail):
         assert s1 == s2
         assert l1 == pytest.approx(l2, rel=1e-4)
+
+
+# -- the optimizer's flat arena -----------------------------------------------------
+
+
+def _oracle_copies(params):
+    return [T.tensor(p.data.copy(), requires_grad=True) for p in params]
+
+
+def test_adam_arena_matches_per_array_oracle():
+    """Three steps with parameter 2 never given a gradient and parameter 0
+    skipped once, over a parameter that spans two update chunks: parameters
+    and moments equal the per-array update's, and the skipped moments stay."""
+    rng = np.random.default_rng(16)
+    shapes = [(3, 4), (Adam.CHUNK + 7,), (5,), (2, 3)]
+    params = [T.tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+              for s in shapes]
+    ref = _oracle_copies(params)
+    ref_m = [np.zeros_like(p.data) for p in ref]
+    ref_v = [np.zeros_like(p.data) for p in ref]
+    opt = Adam(params, lr=1e-2)
+    for t in (1, 2, 3):
+        opt.zero_grad()
+        for p in ref:
+            p.grad = None
+        for i, (p, q) in enumerate(zip(params, ref)):
+            if i == 2 or (i == 0 and t == 2):
+                continue
+            g = rng.standard_normal(p.shape).astype(np.float32)
+            p._accumulate(g)
+            q._accumulate(g)
+        opt.step()
+        adam_per_array_oracle(ref, ref_m, ref_v, t, lr=1e-2)
+        for got, want in zip([p.data for p in params] + opt.m + opt.v,
+                             [p.data for p in ref] + ref_m + ref_v):
+            assert np.array_equal(got, want)
+    assert not opt.m[2].any() and not opt.v[2].any()
+
+
+def test_adam_arena_matches_per_array_oracle_on_ablation_split(shapes):
+    """The 0/4 split (no image-fed blocks) leaves the interactor's image
+    path without gradients; three train steps still equal the per-array
+    update on a second model."""
+    cfg = mini_config(n_img_blocks=0)
+    state = TrainState(DuInNet(cfg, seed=0), lr=1e-3)
+    model = DuInNet(cfg, seed=0)
+    params = model.parameters()
+    m, v = [np.zeros_like(p.data) for p in params], [np.zeros_like(p.data) for p in params]
+    for t, (partial, image, gt) in enumerate(shapes[:3], start=1):
+        state.train_step(partial, image, gt)
+        model.train()
+        model.zero_grad()
+        model.loss(model(partial, image), gt).backward()
+        adam_per_array_oracle(params, m, v, t, lr=1e-3)
+    assert sum(p.grad is None for p in params) > 0
+    for got, want in zip([p.data for p in state.params] + state.opt.m + state.opt.v,
+                         [p.data for p in params] + m + v):
+        assert np.array_equal(got, want)
+
+
+def test_to_dtype_after_adoption_stops_the_optimizer(shapes):
+    """A parameter converted by ``to_dtype`` leaves the arena: its gradients
+    are float64 again, and the optimizer raises instead of updating storage
+    the model no longer reads, with the model's state unchanged."""
+    state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(state, shapes[:1], 1)
+    state.model.to_dtype(np.float64)
+    before = _snapshot(state)
+    with pytest.raises(RuntimeError, match="no longer lives in this optimizer's arena"):
+        state.train_step(*shapes[0])
+    _assert_unchanged(state, before)
+    state.model.train()
+    state.model.loss(state.model(*shapes[0][:2]), shapes[0][2]).backward()
+    assert all(p.grad.dtype == np.float64 and p._grad_buf is None
+               for p in state.params if p.grad is not None)
+
+
+def test_to_dtype_before_adoption_trains_in_float64(shapes):
+    model = DuInNet(mini_config(), seed=0).to_dtype(np.float64)
+    state = TrainState(model, lr=1e-3)
+    before = [p.data.copy() for p in state.params]
+    train_loop(state, shapes[:2], 2)
+    assert all(p.data.dtype == np.float64 for p in state.params)
+    assert any(not np.array_equal(a, p.data) for a, p in zip(before, state.params))
+
+
+def test_second_adam_takes_the_parameters_over():
+    """A second optimizer over the same parameters owns them from then on;
+    the first raises on ``step`` and changes nothing."""
+    params = [T.tensor(np.ones((2, 3), np.float32), requires_grad=True),
+              T.tensor(np.ones(4, np.float32), requires_grad=True)]
+    first = Adam(params, lr=0.1)
+    second = Adam(params, lr=0.1)
+    for p in params:
+        p._accumulate(np.ones(p.shape, np.float32))
+    second.step()
+    moved = [p.data.copy() for p in params]
+    assert all((a < 1).all() for a in moved)
+    with pytest.raises(RuntimeError, match="no longer lives in this optimizer's arena"):
+        first.step()
+    assert first.t == 0 and all(np.array_equal(a, p.data) for a, p in zip(moved, params))
