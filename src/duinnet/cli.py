@@ -272,6 +272,13 @@ def _count(v) -> int:
     return n
 
 
+def _positive(v) -> float:
+    x = float(v)
+    if not 0 < x < np.inf:
+        raise ValueError("must be finite and positive")
+    return x
+
+
 def _int_tuple(v) -> tuple[int, ...]:
     return tuple(int(s) for s in str(v).split(",") if s)
 
@@ -302,7 +309,7 @@ _COMMANDS = {
         "config": (_json_object, None), "data": (Path, REQUIRED), "out": (Path, "run"),
         "task": (_task, "supervised"), "profile": (str, "mini"), "resume": (str, None),
         "decay_steps": (_int_tuple, None), "seed": (_count, 0), "steps": (_count, 500),
-        "limit": (_count, None), "lr": (float, None), "n_img_blocks": (_count, None)}),
+        "limit": (_count, None), "lr": (_positive, None), "n_img_blocks": (_count, None)}),
     "eval": ("evaluate a checkpoint on a test split", cmd_eval, {
         "config": (_json_object, None), "data": (Path, REQUIRED), "out": (Path, "run"),
         "task": (_task, "supervised"), "profile": (str, "mini"), "checkpoint": (str, None),

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import GeometryError, HPRConfig, PointCloud, TriMesh
-from .model.config import ConfigError
+from .model.config import ConfigError, check_image_side
 
 UNSEEN_CATEGORIES = (
     "bowl", "cup", "curtain", "keyboard", "radio",
@@ -94,13 +94,13 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_points < 3:
+            raise ConfigError(f"n_points={self.n_points} must be >= 3")
         if self.n_viewpoints < 2:
             raise ConfigError(f"n_viewpoints={self.n_viewpoints} must be >= 2")
         if not 0 <= self.noise_sigma < np.inf:
             raise ConfigError(f"noise_sigma={self.noise_sigma} must be finite and >= 0")
-        if self.image_side <= 0 or self.image_side % 16:
-            raise ConfigError(f"image_side={self.image_side} must be a positive multiple of 16 "
-                              "(the image encoder downsamples by 16)")
+        check_image_side(self.image_side)
 
     def hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True).encode()

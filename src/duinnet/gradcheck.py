@@ -43,7 +43,7 @@ PRIMITIVE_CHECKS = [
     ("matmul", lambda a, b: T.reduce_sum(T.matmul(a, b)), [(5, 4), (4, 3)]),
     ("matmul_batched", lambda a, b: T.reduce_sum(T.mul(T.matmul(a, b), T.matmul(a, b))),
      [(2, 5, 4), (2, 4, 3)]),
-    ("linear", lambda x, w, b: T.reduce_sum(T.mul(T.linear(x, w, b), T.linear(x, w, b))),
+    ("matmul_bias", lambda x, w, b: T.reduce_sum(T.mul(T.matmul(x, w, b), T.matmul(x, w, b))),
      [(5, 4), (4, 3), (3,)]),
     ("transpose", lambda a: T.reduce_sum(T.mul(T.transpose(a), T.transpose(a))), [(3, 5)]),
     ("reshape", lambda a: T.reduce_sum(T.mul(T.reshape(a, (2, 6)), T.reshape(a, (2, 6)))),

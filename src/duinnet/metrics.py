@@ -118,10 +118,7 @@ def evaluate_batch(preds, gts, d: float = 0.001, categories=None) -> MetricRepor
 def format_table(report: MetricReport, extra_rows: dict[str, dict[str, float]] | None = None) -> str:
     """Tab-separated table: per-category CD x 1e3 and FS, then the overall mean."""
     lines = ["category\tCD-l1(x1e-3)\tCD-l2(x1e-3)\tFS@%g" % report.threshold_d]
-    for cat, vals in report.per_category.items():
-        lines.append(f"{cat}\t{vals['cd_l1'] * 1e3:.3f}\t{vals['cd_l2'] * 1e3:.3f}\t{vals['fscore']:.3f}")
-    if extra_rows:
-        for name, vals in extra_rows.items():
-            lines.append(f"{name}\t{vals['cd_l1'] * 1e3:.3f}\t{vals['cd_l2'] * 1e3:.3f}\t{vals['fscore']:.3f}")
-    lines.append(f"mean\t{report.cd_l1 * 1e3:.3f}\t{report.cd_l2 * 1e3:.3f}\t{report.fscore:.3f}")
+    for name, v in [*report.per_category.items(), *(extra_rows or {}).items(),
+                    ("mean", vars(report))]:
+        lines.append(f"{name}\t{v['cd_l1'] * 1e3:.3f}\t{v['cd_l2'] * 1e3:.3f}\t{v['fscore']:.3f}")
     return "\n".join(lines)

@@ -10,6 +10,12 @@ class ConfigError(ValueError):
     pass
 
 
+def check_image_side(side: int) -> None:
+    if side <= 0 or side % 16:
+        raise ConfigError(f"image_side={side} must be a positive multiple of 16 "
+                          "(the image encoder downsamples by 16)")
+
+
 @dataclass
 class ModelConfig:
     C: int = 256                # feature width
@@ -33,9 +39,7 @@ class ModelConfig:
         if self.C <= 0 or self.C % 4:
             raise ConfigError(f"C={self.C} must be a positive multiple of 4 "
                               f"({self.heads} attention heads, generator map width C/4)")
-        if self.image_side <= 0 or self.image_side % 16:
-            raise ConfigError(f"image_side={self.image_side} must be a positive multiple of 16 "
-                              "(the image encoder downsamples by 16)")
+        check_image_side(self.image_side)
 
     @property
     def block_points(self) -> int:

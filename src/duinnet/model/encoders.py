@@ -112,8 +112,7 @@ class PointEncoder(Module):
         centers, feats = self.sab1(points, feats)
         feats = self.pt1(centers, feats)
         centers, feats = self.sab2(centers, feats)
-        feats = self.pt2(centers, feats)
-        return feats
+        return self.pt2(centers, feats)
 
 
 class ResidualBlock(Module):
@@ -122,12 +121,10 @@ class ResidualBlock(Module):
         self.bn1 = BatchNorm1d(out_ch, relu=True)
         self.conv2 = Conv2d(out_ch, out_ch, 3, rng, stride=1, padding=1)
         self.bn2 = BatchNorm1d(out_ch)
+        self.skip = self.skip_bn = None
         if stride != 1 or in_ch != out_ch:
             self.skip = Conv2d(in_ch, out_ch, 1, rng, stride=stride, bias=False)
             self.skip_bn = BatchNorm1d(out_ch)
-        else:
-            self.skip = None
-            self.skip_bn = None
 
     def __call__(self, x: Tensor) -> Tensor:
         y = self.bn1(self.conv1(x))

@@ -129,7 +129,7 @@ class Linear(Module):
         self.bias = Tensor(_uniform_init(rng, (out_dim,), in_dim), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.linear(x, self.weight, self.bias)
+        return T.matmul(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):

@@ -258,41 +258,30 @@ def sqrt_safe(a: Tensor, eps: float = 1e-12) -> Tensor:
 # -- linear algebra / structure -------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``(..., m, k) x (..., k, n)``: both operands have the same leading (batch)
-    axes, which do not broadcast, and each batch slice is one 2-D product."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``(..., m, k) x (..., k, n)``, then ``+= bias`` for an optional (n,) ``bias``:
+    both operands have the same leading (batch) axes, which do not broadcast,
+    and each batch slice is one 2-D product."""
     a, b = _as_tensor(a), _as_tensor(b)
     if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
             or a.shape[-1] != b.shape[-2]):
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
+    out = a.data @ b.data
+    if bias is not None:
+        bias = _as_tensor(bias)
+        if bias.shape != b.shape[-1:]:
+            raise DimensionError(f"matmul bias shape {bias.shape} does not match {b.shape}")
+        out += bias.data
 
     def bw(g):
         if a.requires_grad:
             a._accumulate(g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
             b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.reshape(-1, bias.shape[0]).sum(axis=0))
 
-    return _make(a.data @ b.data, "matmul", (a, b), bw)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for (n, i) ``x``, (i, o) ``w`` and (o,) ``b``, as one node;
-    outputs and gradients are bit-identical to ``add(matmul(x, w), b)``."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise DimensionError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
-    out = x.data @ w.data
-    out += b.data
-
-    def bw(g):
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
-        if x.requires_grad:
-            x._accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w._accumulate(x.data.T @ g)
-
-    return _make(out, "linear", (x, w, b), bw)
+    return _make(out, "matmul", (a, b) if bias is None else (a, b, bias), bw)
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -628,9 +617,7 @@ def save_checkpoint(path, params: dict[str, Tensor]) -> None:
                 enc = name.encode("utf-8")
                 f.write(struct.pack("<H", len(enc)))
                 f.write(enc)
-                f.write(struct.pack("<B", t.ndim))
-                for d in t.shape:
-                    f.write(struct.pack("<I", d))
+                f.write(struct.pack(f"<B{t.ndim}I", t.ndim, *t.shape))
                 f.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
             f.flush()
             os.fsync(f.fileno())  # else a crash after the rename can leave an empty file

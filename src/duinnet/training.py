@@ -70,10 +70,16 @@ class TrainState:
                                  "meta.opt_t": T.tensor(np.array([float(self.opt.t)]))})
 
     def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy model, Adam moments and step from checkpoint arrays (``nn.load_state``)."""
+        """Copy model, Adam moments and step from checkpoint arrays (``nn.load_state``),
+        after checking that each step counter is one whole number >= 0."""
+        counts = {name: arrays.get(name, np.zeros(1)).reshape(-1)
+                  for name in ("meta.step", "meta.opt_t")}
+        for name, v in counts.items():
+            if v.size != 1 or not 0 <= v[0] < np.inf or v[0] % 1:
+                raise ValueError(f"'{name}' must hold one finite, non-negative whole number, "
+                                 f"got {np.array2string(v, threshold=4)}")
         load_state(self.state_dict(), arrays)
-        self.step = int(arrays.get("meta.step", np.zeros(1))[0])
-        self.opt.t = int(arrays.get("meta.opt_t", np.zeros(1))[0])
+        self.step, self.opt.t = (int(v[0]) for v in counts.values())
 
 
 def train_loop(state: TrainState, samples, steps: int, mode: str = "standard",

@@ -144,6 +144,13 @@ def test_gen_rejects_two_meshes_with_one_model_id(tmp_path, capsys, first, secon
     assert not (tmp_path / "out").exists()  # rejected before any synthesis
 
 
+def test_gen_rejects_one_point_before_any_output(tmp_path, capsys):
+    assert main(["gen", "--mesh-dir", str(_mesh_dir(tmp_path)), "--out", str(tmp_path / "out"),
+                 "--n-points", "1", "--n-viewpoints", "2", "--image-side", "32"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: n_points=1 must be >= 3")
+    assert not (tmp_path / "out").exists()
+
+
 def test_limit_takes_categories_round_robin(cli_workspace):
     _, _, data = cli_workspace
     manifest = Manifest.load(data / "manifest.json")
@@ -253,8 +260,11 @@ def test_train_resume_checkpoint_mismatch_exits_config(cli_workspace, tmp_path, 
     assert not (run / "loss_curve.tsv").exists()
 
 
-@pytest.mark.parametrize("moment", ["m", "v"])
-def test_train_resume_misshaped_moment_exits_config(cli_workspace, tmp_path, capsys, moment):
+@pytest.mark.parametrize("key,shape", [("opt.m.apg.img_blocks.0.lbr1.bn.bias", (1, 1)),
+                                       ("opt.v.apg.img_blocks.0.lbr1.bn.bias", (1, 1)),
+                                       ("meta.step", (0,))], ids=["m", "v", "empty-step"])
+def test_train_resume_misshaped_moment_exits_config(cli_workspace, tmp_path, capsys, key, shape):
+    """A mis-shaped Adam moment or an empty step counter: exit 2, nothing trained."""
     _, _, data = cli_workspace
     import duinnet.tensor as T
     from duinnet.model import DuInNet, mini_config
@@ -262,8 +272,7 @@ def test_train_resume_misshaped_moment_exits_config(cli_workspace, tmp_path, cap
     good = tmp_path / "good.ckpt"
     TrainState(DuInNet(mini_config(), seed=0)).save(good)
     arrays = T.load_checkpoint(good)
-    key = f"opt.{moment}.apg.img_blocks.0.lbr1.bn.bias"
-    arrays[key] = np.zeros((1, 1), dtype=np.float32)
+    arrays[key] = np.zeros(shape, dtype=np.float32)
     bad = tmp_path / "bad.ckpt"
     T.save_checkpoint(bad, {k: T.tensor(v) for k, v in arrays.items()})
     capsys.readouterr()
@@ -469,6 +478,7 @@ def test_flag_beats_env_beats_file(cli_workspace, monkeypatch, tmp_path):
 
 # three distinct raw values per declared type: for flag, environment, config file
 _RAW = {cli._count: ("1", "2", "3"), float: ("0.5", "0.25", "0.125"), str: ("a", "b", "c"),
+        cli._positive: ("0.5", "0.25", "0.125"),
         Path: ("a", "b", "c"), cli._int_tuple: ("1", "1,2", "3"),
         cli._partitions: ("1/1", "2/0", "0/2"), cli._task: ("supervised", "denoising", "zeroshot")}
 _OPTIONS = [(cmd, name) for cmd, (_, _, options) in _COMMANDS.items() for name in options]
@@ -568,6 +578,15 @@ _EXIT_CASES = {
                              {}, EXIT_CONFIG, "--steps"),
     "train-negative-seed": (lambda d, t: ["train", "--data", d, "--seed", "-1"],
                             {}, EXIT_CONFIG, "--seed"),
+    "train-nan-lr": (lambda d, t: ["train", "--data", d, "--steps", "1", "--lr", "nan"],
+                     {}, EXIT_CONFIG, "--lr"),
+    "env-inf-lr": (lambda d, t: ["train", "--data", d, "--steps", "1"],
+                   {"DUINNET_LR": "inf"}, EXIT_CONFIG, "--lr"),
+    "config-zero-lr": (lambda d, t: ["train", "--data", d, "--steps", "1",
+                                     "--config", _write(t / "c.json", '{"lr": 0}')],
+                       {}, EXIT_CONFIG, "--lr"),
+    "train-negative-lr": (lambda d, t: ["train", "--data", d, "--steps", "1", "--lr", "-0.001"],
+                          {}, EXIT_CONFIG, "--lr"),
     "eval-negative-limit": (lambda d, t: ["eval", "--data", d, "--limit", "-2"],
                             {}, EXIT_CONFIG, "--limit"),
     "env-negative-n-img-blocks": (lambda d, t: ["eval", "--data", d],
@@ -584,8 +603,14 @@ _EXIT_CASES = {
     "gen-nan-noise-sigma": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t),
                                           "--noise-sigma", "nan"],
                             {}, EXIT_CONFIG, "noise_sigma=nan"),
-    "gen-no-record": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t), "--n-points", "0"],
+    "gen-no-record": (lambda d, t: ["gen", "--mesh-dir",
+                                    _write(_mesh_dir(t) / "chair" / "chair_0001.off",
+                                           "OFF\n").parent.parent],
                       {}, EXIT_DATA, "no record written"),
+    "gen-zero-points": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t), "--n-points", "0"],
+                        {}, EXIT_CONFIG, "n_points=0"),
+    "gen-two-points": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t), "--n-points", "2"],
+                       {}, EXIT_CONFIG, "n_points=2"),
     "gen-image-side-zero": (lambda d, t: ["gen", "--mesh-dir", _mesh_dir(t), "--image-side", "0"],
                             {}, EXIT_CONFIG, "image_side=0"),
     "train-image-side-mismatch": (lambda d, t: ["train", "--data", d, "--profile", "paper"],

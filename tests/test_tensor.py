@@ -501,7 +501,7 @@ def test_scalar_outputs_stay_zero_dim():
     assert T.reshape(T.tensor(np.ones((1, 1))), ()).shape == ()
 
 
-# -- fused linear and the first gradient ---------------------------------------------
+# -- matmul's bias and the first gradient ---------------------------------------------
 
 
 def _linear_value_and_grads(build, xd, wd, bd, upstream):
@@ -519,7 +519,7 @@ def _linear_value_and_grads(build, xd, wd, bd, upstream):
 @pytest.mark.parametrize("layout", ["c", "f"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_linear_matches_unfused_oracle(dtype, layout):
-    """One ``linear`` node against ``add(matmul(x, w), b)``: output and the
+    """One biased ``matmul`` node against ``add(matmul(x, w), b)``: output and the
     three gradients are the same bits, also for a transposed, F-ordered
     upstream gradient with -0.0 entries."""
     rng = np.random.default_rng(14)
@@ -531,20 +531,33 @@ def test_linear_matches_unfused_oracle(dtype, layout):
     if layout == "f":
         upstream = np.ascontiguousarray(upstream.T).T
         assert upstream.flags.f_contiguous and not upstream.flags.c_contiguous
-    got = _linear_value_and_grads(T.linear, xd, wd, bd, upstream)
+    got = _linear_value_and_grads(T.matmul, xd, wd, bd, upstream)
     want = _linear_value_and_grads(linear_unfused_oracle, xd, wd, bd, upstream)
     for name, g, o in zip(("out", "dx", "dw", "db"), got, want):
         assert g.dtype == o.dtype and g.tobytes() == o.tobytes(), name
 
 
+def test_matmul_bias_over_batch_axes():
+    """A batched product's bias is added to every slice, and its gradient sums
+    the rows of every slice."""
+    rng = np.random.default_rng(16)
+    xd, wd, bd = (rng.standard_normal(s) for s in ((2, 5, 4), (2, 4, 3), (3,)))
+    upstream = rng.standard_normal((2, 5, 3))
+    got = _linear_value_and_grads(T.matmul, xd, wd, bd, upstream)
+    want = _linear_value_and_grads(linear_unfused_oracle, xd, wd, bd, upstream)
+    for name, g, o in zip(("out", "dx", "dw", "db"), got, want):
+        np.testing.assert_allclose(g, o, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
 def test_linear_is_one_node_and_checks_shapes():
     x = T.tensor(np.ones((4, 3)), requires_grad=True)
     w, b = T.tensor(np.ones((3, 2))), T.tensor(np.ones(2))
-    tape = T.reduce_sum(T.linear(x, w, b)).backward()
-    assert [n._op for n in tape.entries if n._op != "leaf"] == ["linear", "reduce_sum"]
-    for xs, ws, bs in [((2, 4, 3), (3, 2), (2,)), ((4, 3), (4, 2), (2,)), ((4, 3), (3, 2), (3,))]:
+    tape = T.reduce_sum(T.matmul(x, w, b)).backward()
+    assert [n._op for n in tape.entries if n._op != "leaf"] == ["matmul", "reduce_sum"]
+    for xs, ws, bs in [((2, 4, 3), (3, 2), (2,)), ((4, 3), (4, 2), (2,)), ((4, 3), (3, 2), (3,)),
+                       ((2, 4, 3), (2, 3, 2), (1, 2))]:
         with pytest.raises(DimensionError):
-            T.linear(T.tensor(np.ones(xs)), T.tensor(np.ones(ws)), T.tensor(np.ones(bs)))
+            T.matmul(T.tensor(np.ones(xs)), T.tensor(np.ones(ws)), T.tensor(np.ones(bs)))
 
 
 _FIRST_GRADIENTS = {

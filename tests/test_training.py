@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +166,24 @@ def test_restore_rejects_misshaped_entry_before_any_change(tmp_path, shapes, pre
     target = TrainState(DuInNet(mini_config(), seed=1), lr=1e-3)
     key = prefix + list(target.named)[-1]  # last, so setting while checking would set the rest
     arrays[key] = np.zeros((1, 1), dtype=np.float32)
+    before = _snapshot(target)
+    with pytest.raises(ValueError, match=re.escape(f"'{key}'")):
+        target.restore(arrays)
+    _assert_unchanged(target, before)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("meta.step", []), ("meta.step", [-3.0]), ("meta.step", [np.nan]), ("meta.step", [2.5]),
+    ("meta.step", [1.0, 1.0]), ("meta.opt_t", [np.inf]), ("meta.opt_t", [-1.0]),
+], ids=["step-empty", "step-negative", "step-nan", "step-fraction", "step-two",
+        "opt_t-inf", "opt_t-negative"])
+def test_restore_rejects_broken_counter_before_any_change(tmp_path, shapes, key, value):
+    source = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(source, shapes[:1], 1)
+    source.save(tmp_path / "a.ckpt")
+    arrays = T.load_checkpoint(tmp_path / "a.ckpt")
+    arrays[key] = np.array(value, dtype=np.float32)
+    target = TrainState(DuInNet(mini_config(), seed=1), lr=1e-3)
     before = _snapshot(target)
     with pytest.raises(ValueError, match=re.escape(f"'{key}'")):
         target.restore(arrays)
@@ -388,3 +408,23 @@ def test_second_adam_takes_the_parameters_over():
     with pytest.raises(RuntimeError, match="no longer lives in this optimizer's arena"):
         first.step()
     assert first.t == 0 and all(np.array_equal(a, p.data) for a, p in zip(moved, params))
+
+
+@pytest.mark.parametrize("mode", ["standard", "denoising"])
+def test_profiler_names_every_recorded_op(shapes, monkeypatch, mode):
+    """Every op a seed-0 mini train step puts on the tape has a per-op time in
+    the benchmark's tracer, so no op's time goes unattributed."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tapes, original = [], T.Tensor.backward
+
+    def backward(self):
+        tapes.append(original(self))
+        return tapes[-1]
+
+    monkeypatch.setattr(T.Tensor, "backward", backward)
+    TrainState(DuInNet(mini_config(), seed=0)).train_step(*shapes[0], mode=mode)
+    ops = {node._op for node in tapes[0].entries} - {"leaf"}
+    assert "matmul" in ops and sorted(ops - set(tracing.TENSOR_OPS)) == []
