@@ -280,7 +280,7 @@ def _positive(v) -> float:
 
 
 def _int_tuple(v) -> tuple[int, ...]:
-    return tuple(int(s) for s in str(v).split(",") if s)
+    return tuple(_count(s) for s in str(v).split(",") if s)
 
 
 def _partitions(v) -> list[tuple[int, int]]:

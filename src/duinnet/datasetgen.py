@@ -342,7 +342,7 @@ def synthesize_model(mesh: TriMesh, model_id: str, category: str,
         if ratio > cfg.max_ratio:
             rng = np.random.default_rng(_stable_seed(cfg.seed, model_id, vp.id, "ratio"))
             target = rng.uniform(cfg.min_ratio, cfg.max_ratio)
-            m = max(int(round(target * cfg.n_points)), int(cfg.min_ratio * cfg.n_points))
+            m = max(int(round(target * cfg.n_points)), int(cfg.min_ratio * cfg.n_points), 1)
             sub = geometry.fps(complete.points[visible], m, seed_rule="first_index")
             visible = visible[np.sort(sub)]
         partial = PointCloud(complete.points[visible])

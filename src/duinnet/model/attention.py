@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import tensor as T
-from ..nn import LayerNorm, Linear, Module
+from ..nn import LayerNorm, Linear, Module, in_turn
 from ..tensor import Tensor
 
 
@@ -70,11 +70,15 @@ class InteractorPath(Module):
 
 
 class DualFeatureInteractor(Module):
-    """Two symmetric, independently parameterized interaction paths."""
+    """Two symmetric, independently parameterized interaction paths.
+
+    Neither path reads the other's result, so ``pair`` (an ``nn`` branch
+    runner) may run them at once.
+    """
 
     def __init__(self, C: int, heads: int, rng: np.random.Generator):
         self.pc_path = InteractorPath(C, heads, rng)
         self.img_path = InteractorPath(C, heads, rng)
 
-    def __call__(self, f_pc: Tensor, f_img: Tensor) -> tuple[Tensor, Tensor]:
-        return self.pc_path(f_pc, f_img), self.img_path(f_img, f_pc)
+    def __call__(self, f_pc: Tensor, f_img: Tensor, pair=in_turn) -> tuple[Tensor, Tensor]:
+        return pair(lambda: self.pc_path(f_pc, f_img), lambda: self.img_path(f_img, f_pc))

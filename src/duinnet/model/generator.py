@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import tensor as T
-from ..nn import LBR, Linear, Module
+from ..nn import LBR, Linear, Module, in_turn
 from ..tensor import Tensor
 from .config import ModelConfig
 
@@ -38,7 +38,11 @@ class GeneratorBlock(Module):
 
 
 class AdaptivePointGenerator(Module):
-    """n_pc point-path blocks followed by n_img image-path blocks, concatenated."""
+    """n_pc point-path blocks followed by n_img image-path blocks, concatenated.
+
+    The two groups read different tokens, so ``pair`` (an ``nn`` branch
+    runner) may run them at once.
+    """
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         self.pc_blocks = [GeneratorBlock(cfg.C, cfg.block_points, rng)
@@ -46,7 +50,7 @@ class AdaptivePointGenerator(Module):
         self.img_blocks = [GeneratorBlock(cfg.C, cfg.block_points, rng)
                            for _ in range(cfg.n_img_blocks)]
 
-    def __call__(self, f_pc_fu: Tensor, f_img_fu: Tensor) -> Tensor:
-        parts = [blk(f_pc_fu) for blk in self.pc_blocks]
-        parts += [blk(f_img_fu) for blk in self.img_blocks]
-        return T.concat(parts, axis=0)
+    def __call__(self, f_pc_fu: Tensor, f_img_fu: Tensor, pair=in_turn) -> Tensor:
+        pc, img = pair(lambda: [blk(f_pc_fu) for blk in self.pc_blocks],
+                       lambda: [blk(f_img_fu) for blk in self.img_blocks])
+        return T.concat(pc + img, axis=0)

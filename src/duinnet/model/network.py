@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .. import geometry, tensor as T
-from ..nn import Module
+from ..nn import Module, in_turn, side_by_side
 from ..tensor import Tensor
 from .attention import DualFeatureInteractor
 from .config import ModelConfig
@@ -52,12 +54,29 @@ def assemble_outputs(p_gen1: Tensor, p_in: np.ndarray, n: int) -> Tensor:
     return T.gather(cat, idx, axis=0)
 
 
+def branch_runner(cfg: ModelConfig):
+    """How ``DuInNet.forward`` runs each stage's point and image branches.
+
+    Side by side when two cores are usable and C >= 192: there the branches'
+    kernels are large enough that each thread spends most of its time with
+    the GIL released. Narrower models spend more of it in Python, so the
+    threads contend for the GIL. In eval forwards with both cores granted,
+    C = 192 and 256 ran 1.05-1.62x as fast side by side over six sizes,
+    C = 128 0.85-1.34x (losing below 112-pixel images), and C <= 64
+    0.81-1.02x, ``mini`` 0.85x (``BENCH_towers.json``).
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return side_by_side if cfg.C >= 192 and (cores or 1) >= 2 else in_turn
+
+
 class DuInNet(Module):
     """Dual-path multimodal completion network.
 
     Takes a partial point cloud (resampled to N points) and one rendered view,
     and produces two complete clouds: the generator output and its FPS blend
-    with the input partial.
+    with the input partial. The encoders, the interactor's paths and the
+    generator's block groups form a point branch and an image branch per
+    stage, run by ``branch_runner``; the result is the same either way.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
@@ -72,10 +91,10 @@ class DuInNet(Module):
         cfg = self.cfg
         pts = np.asarray(partial, dtype=np.float64)
         up = geometry.resample_to(geometry.PointCloud(pts), cfg.N).points
-        f_pc = self.point_encoder(up)
-        f_img = self.image_encoder(image)
-        f_pc_fu, f_img_fu = self.dfi(f_pc, f_img)
-        p_gen1 = self.apg(f_pc_fu, f_img_fu)
+        pair = branch_runner(cfg)
+        f_pc, f_img = pair(lambda: self.point_encoder(up), lambda: self.image_encoder(image))
+        f_pc_fu, f_img_fu = self.dfi(f_pc, f_img, pair)
+        p_gen1 = self.apg(f_pc_fu, f_img_fu, pair)
         p_gen2 = assemble_outputs(p_gen1, pts, cfg.N)
         return {
             "p_gen1": p_gen1, "p_gen2": p_gen2,

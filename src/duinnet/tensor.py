@@ -112,7 +112,10 @@ class GradTape:
 
     ``entries`` lists graph nodes such that every node's inputs appear before
     the node itself; the backward sweep visits each entry exactly once, in
-    reverse. A tape must stay confined to one thread.
+    reverse. The graph may be built from two threads at once, as
+    ``nn.side_by_side`` builds a model's two branches: a node records only its
+    parents, and the order comes from them alone. Tracing and the backward
+    sweep run on one thread, after every thread that built the graph is done.
     """
 
     def __init__(self, entries: list[Tensor]):
@@ -159,7 +162,9 @@ class no_grad:
 
     Outputs made inside it are constants (no parents, no backward closure),
     so a forward pass keeps nothing alive for a backward pass that will not
-    run. Contexts nest; like a tape, the setting is not thread-safe.
+    run. Contexts nest. The setting is one flag for the whole process, read
+    by every thread that builds a graph, so it must not be entered or left
+    while a forward pass runs, on any thread.
     """
 
     def __enter__(self) -> "no_grad":

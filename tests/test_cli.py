@@ -151,6 +151,17 @@ def test_gen_rejects_one_point_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("n_points", [3, 4])
+def test_gen_fewest_points_write_records_without_mesh_errors(tmp_path, n_points):
+    """Views that see more than max_ratio of the cloud are thinned to at least one point."""
+    out = tmp_path / "out"
+    assert main(["gen", "--mesh-dir", str(_mesh_dir(tmp_path)), "--out", str(out),
+                 "--n-points", str(n_points), "--n-viewpoints", "8",
+                 "--image-side", "32"]) == EXIT_OK
+    report = json.loads((out / "generation_report.json").read_text())
+    assert report["mesh_errors"] == [] and report["records"] == 8
+
+
 def test_limit_takes_categories_round_robin(cli_workspace):
     _, _, data = cli_workspace
     manifest = Manifest.load(data / "manifest.json")
@@ -587,6 +598,13 @@ _EXIT_CASES = {
                        {}, EXIT_CONFIG, "--lr"),
     "train-negative-lr": (lambda d, t: ["train", "--data", d, "--steps", "1", "--lr", "-0.001"],
                           {}, EXIT_CONFIG, "--lr"),
+    "train-negative-decay-steps": (lambda d, t: ["train", "--data", d, "--decay-steps", "5,-1"],
+                                   {}, EXIT_CONFIG, "--decay-steps"),
+    "env-negative-decay-steps": (lambda d, t: ["train", "--data", d],
+                                 {"DUINNET_DECAY_STEPS": "-1"}, EXIT_CONFIG, "--decay-steps"),
+    "config-negative-decay-steps": (lambda d, t: ["train", "--data", d, "--config",
+                                                  _write(t / "c.json", '{"decay_steps": -2}')],
+                                    {}, EXIT_CONFIG, "--decay-steps"),
     "eval-negative-limit": (lambda d, t: ["eval", "--data", d, "--limit", "-2"],
                             {}, EXIT_CONFIG, "--limit"),
     "env-negative-n-img-blocks": (lambda d, t: ["eval", "--data", d],

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
+import os
 import re
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +15,10 @@ import pytest
 
 from helpers import adam_per_array_oracle, overfit_shapes
 
-from duinnet import tensor as T
-from duinnet.model import DuInNet, mini_config
-from duinnet.nn import Adam
+from duinnet import nn, tensor as T
+from duinnet.model import DuInNet, make_config, mini_config, network
+from duinnet.model.encoders import ImageEncoder, PointEncoder
+from duinnet.nn import Adam, in_turn, side_by_side
 from duinnet.training import TrainState, train_loop
 
 
@@ -428,3 +433,119 @@ def test_profiler_names_every_recorded_op(shapes, monkeypatch, mode):
     TrainState(DuInNet(mini_config(), seed=0)).train_step(*shapes[0], mode=mode)
     ops = {node._op for node in tapes[0].entries} - {"leaf"}
     assert "matmul" in ops and sorted(ops - set(tracing.TENSOR_OPS)) == []
+
+
+# -- the point and image branches of each stage, in turn or side by side --------
+
+
+def _mini_run_digests(shapes, monkeypatch, runner) -> list[str]:
+    """SHA-256 of the parameters, Adam moments, BatchNorm buffers and eval
+    ``p_gen2`` after 6 mini train steps with ``runner`` forced."""
+    monkeypatch.setattr(network, "branch_runner", lambda cfg: runner)
+    state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(state, shapes, 6)
+    state.model.eval()
+    with T.no_grad():
+        p_gen2 = state.model(*shapes[6][:2])["p_gen2"].data
+    groups = ([p.data for p in state.params], state.opt.m, state.opt.v,
+              _buffers(state.model), [p_gen2])
+    return [hashlib.sha256(b"".join(a.tobytes() for a in g)).hexdigest() for g in groups]
+
+
+def test_side_by_side_branches_keep_every_bit(shapes, monkeypatch):
+    assert (_mini_run_digests(shapes, monkeypatch, side_by_side)
+            == _mini_run_digests(shapes, monkeypatch, in_turn))
+
+
+def test_mini_runs_in_turn_and_starts_no_thread(shapes, monkeypatch):
+    monkeypatch.setattr(nn, "_POOL", None)
+    model = DuInNet(mini_config(), seed=0)
+    before = threading.active_count()
+    model(*shapes[0][:2])
+    assert threading.active_count() == before and nn._POOL is None
+    two_cores = len(os.sched_getaffinity(0)) >= 2
+    assert network.branch_runner(make_config("paper")) is (side_by_side if two_cores else in_turn)
+    assert network.branch_runner(mini_config(C=192)) is network.branch_runner(make_config("paper"))
+    assert network.branch_runner(mini_config(C=128)) is in_turn
+
+
+def test_failed_point_branch_is_raised_after_the_image_branch_ends(shapes, monkeypatch):
+    """The point branch raises while the image branch runs. ``train_step``
+    re-raises only once the image branch has finished, so the BatchNorm
+    buffers it restores stay restored. Events order the two threads: a runner
+    that did not wait would return while the image branch is still held."""
+    monkeypatch.setattr(network, "branch_runner", lambda cfg: side_by_side)
+    state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(state, shapes[:2], 2)
+    started, released, done = threading.Event(), threading.Event(), threading.Event()
+    encode_image = ImageEncoder.__call__
+
+    def held_image_encoder(self, image):
+        started.set()
+        released.wait(timeout=0.5)
+        out = encode_image(self, image)  # moves the encoder's BatchNorm buffers
+        done.set()
+        return out
+
+    def failing_point_encoder(self, points):
+        if not started.wait(timeout=10):
+            raise TimeoutError("image branch never started")
+        raise RuntimeError("point branch failed")
+
+    monkeypatch.setattr(ImageEncoder, "__call__", held_image_encoder)
+    monkeypatch.setattr(PointEncoder, "__call__", failing_point_encoder)
+    before = _snapshot(state)
+    with pytest.raises(RuntimeError, match="point branch failed"):
+        state.train_step(*shapes[0])
+    image_branch_ended_first = done.is_set()
+    released.set()
+    assert done.wait(timeout=10)
+    assert image_branch_ended_first
+    _assert_unchanged(state, before)
+
+
+def test_wrong_size_image_raises_the_same_error_side_by_side(shapes, monkeypatch):
+    partial, image, gt = shapes[0]
+    messages = []
+    for runner in (in_turn, side_by_side):
+        monkeypatch.setattr(network, "branch_runner", lambda cfg: runner)
+        state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+        before = _snapshot(state)
+        with pytest.raises(ValueError, match="expected 32x32x3 image") as exc:
+            state.train_step(partial, image[:16, :16], gt)
+        _assert_unchanged(state, before)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_side_by_side_from_many_threads_makes_one_worker(monkeypatch):
+    """Callers on four threads, with a short switch interval, each get their
+    own pair of results, and every second branch runs on the one worker of
+    the lazily made pool."""
+    monkeypatch.setattr(nn, "_POOL", None)
+    results, errors, workers = {}, [], set()
+
+    def second(k, i):
+        workers.add(threading.get_ident())
+        return k, -i
+
+    def caller(k):
+        try:
+            results[k] = [side_by_side(lambda i=i: (k, i), lambda i=i: second(k, i))
+                          for i in range(50)]
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert results == {k: [((k, i), (k, -i)) for i in range(50)] for k in range(4)}
+    assert workers == {t.ident for t in nn._POOL._threads}
