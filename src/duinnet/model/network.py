@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -54,19 +57,34 @@ def assemble_outputs(p_gen1: Tensor, p_in: np.ndarray, n: int) -> Tensor:
     return T.gather(cat, idx, axis=0)
 
 
+@functools.cache
+def _blas_threads() -> int | None:
+    """Threads of NumPy's bundled OpenBLAS, or None where it has no
+    ``scipy_openblas_get_num_threads64_``; read once per process."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        fn = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_int
+            return fn()
+    return None
+
+
 def branch_runner(cfg: ModelConfig):
     """How ``DuInNet.forward`` runs each stage's point and image branches.
 
-    Side by side when two cores are usable and C >= 192: there the branches'
-    kernels are large enough that each thread spends most of its time with
-    the GIL released. Narrower models spend more of it in Python, so the
-    threads contend for the GIL. In eval forwards with both cores granted,
-    C = 192 and 256 ran 1.05-1.62x as fast side by side over six sizes,
-    C = 128 0.85-1.34x (losing below 112-pixel images), and C <= 64
-    0.81-1.02x, ``mini`` 0.85x (``BENCH_towers.json``).
+    Side by side when two cores are usable, BLAS runs one thread and
+    C >= 192: there the branches' kernels are large enough that each thread
+    spends most of its time with the GIL released. In eval forwards with
+    both cores granted, C = 192 and 256 ran 1.05-1.62x as fast side by
+    side, C = 128 0.85-1.34x and ``mini`` 0.85x (``BENCH_towers.json``).
+    Over two BLAS threads, four busy threads share two cores: a paper train
+    step took 1.022 s side by side and 0.756 s in turn
+    (``BENCH_backward.json``).
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return side_by_side if cfg.C >= 192 and (cores or 1) >= 2 else in_turn
+    wide = cfg.C >= 192 and (cores or 1) >= 2
+    return side_by_side if wide and _blas_threads() == 1 else in_turn
 
 
 class DuInNet(Module):

@@ -1,4 +1,4 @@
-"""Layers, branch runners and optimizer built on the autodiff tensor engine.
+"""Layers and optimizer built on the autodiff tensor engine, and its branch runners.
 
 Modules hold named parameters (dotted paths, e.g. ``dfi.pc_path.ca1.q_proj.weight``)
 and can be serialized through the flat checkpoint archive in :mod:`duinnet.tensor`.
@@ -6,14 +6,10 @@ and can be serialized through the flat checkpoint archive in :mod:`duinnet.tenso
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
-
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import Tensor, in_turn, side_by_side  # noqa: F401 - the branch runners
 
 
 class Module:
@@ -118,50 +114,6 @@ def load_state(table: dict[str, Tensor], arrays: dict[str, np.ndarray]) -> None:
         checked.append((target.data, arrays[name]))
     for dst, src in checked:
         np.copyto(dst, src)
-
-
-def in_turn(f, g):
-    """Branch runner: ``(f(), g())``, called one after the other."""
-    return f(), g()
-
-
-_POOL: ThreadPoolExecutor | None = None  # side_by_side's worker, made on first use
-_POOL_LOCK = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """In a forked child: it has no copy of the worker thread, and the lock
-    may have been held by a thread that is gone."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def side_by_side(f, g):
-    """Branch runner: ``(f(), g())`` with ``g`` on one worker thread while ``f``
-    runs on the calling thread. NumPy and BLAS release the GIL inside large
-    kernels, so the two overlap on two cores.
-
-    ``g`` is always finished before anything propagates, so no branch is left
-    writing (to BatchNorm buffers, say) after its caller has handled an
-    error. ``f``'s error wins over ``g``'s, as in ``in_turn``. Each branch
-    builds its own part of the graph; the tape is traced and replayed later
-    on one thread. There is one worker, so ``g`` must not call
-    ``side_by_side`` itself.
-    """
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(1, thread_name_prefix="duinnet-branch")
-        future = _POOL.submit(g)
-    try:
-        a = f()
-    finally:
-        wait([future])
-    return a, future.result()
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +49,8 @@ class DimensionError(ValueError):
 class Tensor:
     """A dense n-dimensional array node in a reverse-mode autodiff graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_op", "_parents", "_backward", "_grad_buf")
+    __slots__ = ("data", "requires_grad", "grad", "_op", "_parents", "_backward", "_grad_buf",
+                 "_on_worker")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, Tensor):
@@ -62,6 +65,7 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
         self._grad_buf: np.ndarray | None = None  # set while an nn.Adam owns this leaf
+        self._on_worker = False  # built on side_by_side's worker thread
 
     # -- basic introspection -------------------------------------------------
 
@@ -94,17 +98,36 @@ class Tensor:
             self.grad += g.astype(self.data.dtype, copy=False)
 
     def backward(self) -> "GradTape":
-        """Backpropagate from this (scalar) tensor through the recorded graph."""
+        """Backpropagate from this (scalar) tensor through the recorded graph.
+
+        Each closure runs on the thread that built its node, after the other
+        thread has run every earlier node of the reversed tape that writes
+        this node's gradient or a gradient this one writes too; so every
+        gradient takes the same additions, in the same order, as in one
+        sweep. A closure is dropped once run: a second backward through its
+        node raises RuntimeError.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.shape}")
         tape = GradTape.trace(self)
+        order = tape.entries[::-1]
+        if any(node._parents and node._backward is None for node in order):
+            raise RuntimeError("backward() through a graph whose backward has already run; "
+                               "build the graph again")
         self.grad = np.ones_like(self.data)
-        for node in reversed(tape.entries):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                if node is not self:
-                    node.grad = None  # every consumer has already run: free it
+        if _ROLE.on_worker or not any(node._on_worker for node in order):
+            for node in order:
+                node._run_backward(self)
+        else:
+            _sweep_on_two_threads(order, self)
         return tape
+
+    def _run_backward(self, root: "Tensor") -> None:
+        if self._backward is not None and self.grad is not None:
+            self._backward(self.grad)
+            self._backward = None  # frees what only the closure held
+            if self is not root:
+                self.grad = None  # every consumer has already run: free it
 
 
 class GradTape:
@@ -113,9 +136,10 @@ class GradTape:
     ``entries`` lists graph nodes such that every node's inputs appear before
     the node itself; the backward sweep visits each entry exactly once, in
     reverse. The graph may be built from two threads at once, as
-    ``nn.side_by_side`` builds a model's two branches: a node records only its
-    parents, and the order comes from them alone. Tracing and the backward
-    sweep run on one thread, after every thread that built the graph is done.
+    ``side_by_side`` builds a model's two branches: a node records only its
+    parents, and the order comes from them alone. Tracing runs after every
+    thread that built the graph is done; ``Tensor.backward`` then splits the
+    reversed entries between the threads that built them, in their order.
     """
 
     def __init__(self, entries: list[Tensor]):
@@ -177,6 +201,99 @@ class no_grad:
         _GRAD_ENABLED = self._prev
 
 
+# -- branch runners and the worker thread they share with backward -----------------
+
+
+def in_turn(f, g):
+    """Branch runner: ``(f(), g())``, called one after the other."""
+    return f(), g()
+
+
+class _ThreadRole(threading.local):
+    on_worker = False  # set on side_by_side's worker thread when it starts
+
+
+_ROLE = _ThreadRole()
+_POOL: ThreadPoolExecutor | None = None  # side_by_side's worker, made on first use
+_POOL_LOCK = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: it has no copy of the worker thread, and the lock
+    may have been held by a thread that is gone."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def side_by_side(f, g):
+    """Branch runner: ``(f(), g())`` with ``g`` on one worker thread while ``f``
+    runs on the calling thread. NumPy and BLAS release the GIL inside large
+    kernels, so the two overlap on two cores.
+
+    ``g`` is always finished before anything propagates, so no branch is left
+    writing (to BatchNorm buffers, say) after its caller has handled an
+    error. ``f``'s error wins over ``g``'s, as in ``in_turn``. Each branch
+    builds its own part of the graph, and ``Tensor.backward`` runs each part
+    on the thread that built it. There is one worker, so ``g`` must not call
+    ``side_by_side`` itself.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(1, thread_name_prefix="duinnet-branch",
+                                       initializer=setattr, initargs=(_ROLE, "on_worker", True))
+        future = _POOL.submit(g)
+    try:
+        a = f()
+    finally:
+        wait([future])
+    return a, future.result()
+
+
+def _sweep_on_two_threads(order: list[Tensor], root: Tensor) -> None:
+    """Run ``order``'s closures, each on the thread that built its node (0:
+    this one, 1: the worker). A node first waits until the other thread has
+    run ``need`` of its nodes: every earlier one there that writes this
+    node's gradient, or a gradient this node writes too."""
+    plans: tuple[list, list] = ([], [])
+    writers: dict[int, list[int]] = {}  # id -> nodes of each thread up to its last writer
+    for node in order:
+        if node._backward is None:
+            continue  # a leaf
+        t = int(node._on_worker)
+        need = writers.get(id(node), (0, 0))[1 - t]
+        for p in node._parents:
+            w = writers.setdefault(id(p), [0, 0])
+            need = max(need, w[1 - t])
+            w[t] = len(plans[t]) + 1
+        plans[t].append((node, need))
+    done, failed, cond = [0, 0], [], threading.Condition()
+
+    def run(t: int) -> None:
+        try:
+            for k, (node, need) in enumerate(plans[t]):
+                if done[1 - t] < need:
+                    with cond:
+                        cond.wait_for(lambda: done[1 - t] >= need or failed)
+                        if failed:
+                            return  # the other thread raised: its error propagates
+                node._run_backward(root)
+                with cond:
+                    done[t] = k + 1
+                    cond.notify()
+        except BaseException:
+            with cond:
+                failed.append(t)
+                cond.notify()
+            raise
+
+    side_by_side(lambda: run(0), lambda: run(1))
+
+
 def _make(out_data: np.ndarray, op: str, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(out_data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
@@ -184,6 +301,7 @@ def _make(out_data: np.ndarray, op: str, parents: Sequence[Tensor], backward) ->
         out._op = op
         out._parents = tuple(parents)
         out._backward = backward
+        out._on_worker = _ROLE.on_worker
     return out
 
 

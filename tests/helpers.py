@@ -8,6 +8,7 @@ accelerated implementations they validate.
 from __future__ import annotations
 
 import heapq
+import threading
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -545,3 +546,24 @@ def overfit_shapes(n_shapes: int = 8, n_points: int = 256, image_side: int = 32)
         img[q:-q, q:-q] = s / n_shapes
         shapes.append((partial, img, pts))
     return shapes
+
+
+def run_within(seconds: float, fn):
+    """``fn()`` on a daemon thread: its result, or its error re-raised. A call
+    still running after ``seconds`` (deadlocked, say) fails the test at once
+    and is left behind."""
+    out: dict = {}
+
+    def target():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - re-raised on the test's thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import struct
+import time
 import tracemalloc
 import zlib
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (batch_norm_1d_stored_oracle, conv2d_im2col_oracle, gather_add_at_oracle,
-                     linear_unfused_oracle, reduce_select_add_at_oracle)
+                     linear_unfused_oracle, reduce_select_add_at_oracle, run_within)
 
 from duinnet import nn
 from duinnet import tensor as T
@@ -499,6 +500,84 @@ def test_scalar_outputs_stay_zero_dim():
     assert out.shape == ()
     assert float(out.data) == 1.0
     assert T.reshape(T.tensor(np.ones((1, 1))), ()).shape == ()
+
+
+# -- backward on the threads that built the graph ----------------------------------------
+
+
+def _scale_after(x: Tensor, c: Tensor, before_write) -> Tensor:
+    """``x * c`` as a node whose backward calls ``before_write()`` first."""
+    def bw(g):
+        before_write()
+        x._accumulate(g * c.data)
+
+    return T._make(x.data * c.data, "mul", (x,), bw)
+
+
+def _two_branch_graph(runner, image_first: bool, before_write=lambda: None):
+    """A leaf ``a`` and an intermediate ``s = a * k``, whose gradients nodes of
+    both branches write. The values span twelve decades, so float32 sums of
+    them in another order round differently."""
+    rng = np.random.default_rng(3)
+    a, x1, x2, x3, c1, c2, k = (
+        T.tensor((rng.standard_normal(64) * 10.0 ** rng.integers(-6, 7, 64)).astype(np.float32),
+                 requires_grad=i == 0) for i in range(7))
+    s = T.mul(a, k)
+    point = lambda: T.add(T.add(T.mul(a, x1), T.mul(a, x3)), T.mul(s, c1))  # noqa: E731
+    image = lambda: T.add(_scale_after(a, x2, before_write),  # noqa: E731
+                          _scale_after(s, c2, before_write))
+    f_out, g_out = runner(point, image)
+    return a, T.reduce_sum(T.add(g_out, f_out) if image_first else T.add(f_out, g_out))
+
+
+@pytest.mark.parametrize("image_first", [True, False], ids=["image_first", "point_first"])
+def test_backward_on_two_threads_keeps_the_order_of_every_addition(image_first):
+    """Gradients of a graph whose image branch was built on the worker equal,
+    bit for bit, those of the same graph built in turn. The worker's nodes
+    sleep before they write, so a sweep that skipped a wait would run ahead.
+    Image first, the reversed tape reaches the worker's write to ``a``'s
+    gradient before the calling thread's two, which wait for it (a shared
+    parent). Point first, ``s`` waits for the worker's write to its own
+    gradient (a consumer), though every write to ``a`` before it is done."""
+    want_a, want_loss = _two_branch_graph(T.in_turn, image_first)
+    want_loss.backward()
+    a, loss = _two_branch_graph(T.side_by_side, image_first, lambda: time.sleep(0.1))
+    on_worker = [n._on_worker for n in T.GradTape.trace(loss).entries if n._parents]
+    assert on_worker.count(True) == 3 and on_worker.count(False) == 8
+    run_within(30, loss.backward)
+    assert a.grad.dtype == np.float32 and np.array_equal(a.grad, want_a.grad)
+    x = [np.float32(v) for v in (1.0, 1e-8, -1.0)]
+    assert (x[0] + x[1]) + x[2] != (x[0] + x[2]) + x[1]  # the order matters
+
+
+def test_backward_error_on_the_worker_stops_the_waiting_caller():
+    """Image first, the calling thread waits for the worker's write to
+    ``a``'s gradient; the worker raises there instead, and the caller stops
+    waiting and re-raises its error."""
+    def failing():
+        raise RuntimeError("image branch backward failed")
+
+    _, loss = _two_branch_graph(T.side_by_side, True, failing)
+    with pytest.raises(RuntimeError, match="image branch backward failed"):
+        run_within(10, loss.backward)
+    assert run_within(10, lambda: T.side_by_side(lambda: 1, lambda: 2)) == (1, 2)
+
+
+def test_backward_drops_each_closure_and_refuses_a_second_sweep():
+    """Like PyTorch without ``retain_graph``: a second backward through swept
+    nodes raises before it writes any gradient."""
+    a = T.tensor(np.array([2.0, 3.0]), requires_grad=True)
+    h = T.mul(a, a)
+    loss = T.reduce_sum(h)
+    loss.backward()
+    assert h._backward is None and loss._backward is None
+    assert h._parents == (a, a) and h._op == "mul"
+    grad = a.grad.copy()
+    with pytest.raises(RuntimeError, match="already run"):
+        loss.backward()
+    with pytest.raises(RuntimeError, match="already run"):
+        T.reduce_sum(T.add(h, a)).backward()  # a new root over a swept node
+    assert np.array_equal(a.grad, grad) and np.array_equal(grad, [4.0, 6.0])
 
 
 # -- matmul's bias and the first gradient ---------------------------------------------

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import os
 import re
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -13,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import adam_per_array_oracle, overfit_shapes
+from helpers import adam_per_array_oracle, overfit_shapes, run_within
 
-from duinnet import nn, tensor as T
+from duinnet import tensor as T
 from duinnet.model import DuInNet, make_config, mini_config, network
 from duinnet.model.encoders import ImageEncoder, PointEncoder
 from duinnet.nn import Adam, in_turn, side_by_side
@@ -458,15 +459,34 @@ def test_side_by_side_branches_keep_every_bit(shapes, monkeypatch):
 
 
 def test_mini_runs_in_turn_and_starts_no_thread(shapes, monkeypatch):
-    monkeypatch.setattr(nn, "_POOL", None)
+    monkeypatch.setattr(T, "_POOL", None)
     model = DuInNet(mini_config(), seed=0)
     before = threading.active_count()
     model(*shapes[0][:2])
-    assert threading.active_count() == before and nn._POOL is None
+    assert threading.active_count() == before and T._POOL is None
     two_cores = len(os.sched_getaffinity(0)) >= 2
+    monkeypatch.setattr(network, "_blas_threads", lambda: 1)
     assert network.branch_runner(make_config("paper")) is (side_by_side if two_cores else in_turn)
     assert network.branch_runner(mini_config(C=192)) is network.branch_runner(make_config("paper"))
     assert network.branch_runner(mini_config(C=128)) is in_turn
+
+
+@pytest.mark.parametrize("threads", [2, None], ids=["two", "unknown"])
+def test_paper_runs_in_turn_unless_blas_runs_one_thread(monkeypatch, threads):
+    """Two branch threads over a two-thread BLAS put four busy threads on two
+    cores, and lost; a BLAS whose thread count cannot be read counts as that."""
+    monkeypatch.setattr(network, "_blas_threads", lambda: threads)
+    assert network.branch_runner(make_config("paper")) is in_turn
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_blas_thread_probe_reads_numpys_openblas(threads):
+    code = "from duinnet.model import network; print(network._blas_threads())"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == str(threads)
 
 
 def test_failed_point_branch_is_raised_after_the_image_branch_ends(shapes, monkeypatch):
@@ -504,6 +524,67 @@ def test_failed_point_branch_is_raised_after_the_image_branch_ends(shapes, monke
     _assert_unchanged(state, before)
 
 
+def _with_backward_hook(x, hook):
+    """``x`` again, as a node whose backward calls ``hook()`` before it passes
+    the gradient on."""
+    def bw(g):
+        hook()
+        x._accumulate(g)
+
+    return T._make(x.data, "reshape", (x,), bw)
+
+
+@pytest.mark.parametrize("caller_raises", [True, False], ids=["both_raise", "worker_raises"])
+def test_failed_backward_is_raised_after_the_worker_stops(shapes, monkeypatch, caller_raises):
+    """A backward closure of the image branch raises on the worker once
+    released (or after 0.5 s); one of the point branch may raise on the
+    calling thread meanwhile. ``train_step`` re-raises only once the worker
+    has stopped, the calling thread's error wins, no state changes, and the
+    worker still runs the next call."""
+    monkeypatch.setattr(network, "branch_runner", lambda cfg: side_by_side)
+    state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(state, shapes[:2], 2)
+    started, released, done = threading.Event(), threading.Event(), threading.Event()
+    encode_image, encode_points = ImageEncoder.__call__, PointEncoder.__call__
+
+    def held_then_failing():
+        started.set()
+        released.wait(timeout=0.5)
+        done.set()
+        raise RuntimeError("image branch backward failed")
+
+    def failing():
+        if not started.wait(timeout=10):
+            raise TimeoutError("the image branch's backward never started")
+        if caller_raises:
+            raise RuntimeError("point branch backward failed")
+
+    monkeypatch.setattr(ImageEncoder, "__call__", lambda self, image: _with_backward_hook(
+        encode_image(self, image), held_then_failing))
+    monkeypatch.setattr(PointEncoder, "__call__", lambda self, points: _with_backward_hook(
+        encode_points(self, points), failing))
+    before = _snapshot(state)
+    with pytest.raises(RuntimeError, match=f"{'point' if caller_raises else 'image'} branch"):
+        run_within(60, lambda: state.train_step(*shapes[0]))
+    worker_stopped_first = done.is_set()
+    released.set()
+    assert worker_stopped_first
+    _assert_unchanged(state, before)
+    assert run_within(10, lambda: side_by_side(lambda: 1, lambda: 2)) == (1, 2)
+
+
+@pytest.mark.parametrize("runner", [in_turn, side_by_side], ids=["in_turn", "side_by_side"])
+def test_train_step_leaves_the_thread_count_unchanged(shapes, monkeypatch, runner):
+    """Forward and backward reuse the one worker, so a train step leaves the
+    thread count as it found it, in turn or side by side."""
+    monkeypatch.setattr(network, "branch_runner", lambda cfg: runner)
+    state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    run_within(60, lambda: state.train_step(*shapes[0]))
+    before = threading.active_count()
+    run_within(60, lambda: state.train_step(*shapes[1]))
+    assert threading.active_count() == before
+
+
 def test_wrong_size_image_raises_the_same_error_side_by_side(shapes, monkeypatch):
     partial, image, gt = shapes[0]
     messages = []
@@ -522,7 +603,7 @@ def test_side_by_side_from_many_threads_makes_one_worker(monkeypatch):
     """Callers on four threads, with a short switch interval, each get their
     own pair of results, and every second branch runs on the one worker of
     the lazily made pool."""
-    monkeypatch.setattr(nn, "_POOL", None)
+    monkeypatch.setattr(T, "_POOL", None)
     results, errors, workers = {}, [], set()
 
     def second(k, i):
@@ -548,4 +629,4 @@ def test_side_by_side_from_many_threads_makes_one_worker(monkeypatch):
         sys.setswitchinterval(interval)
     assert not errors and not any(t.is_alive() for t in threads)
     assert results == {k: [((k, i), (k, -i)) for i in range(50)] for k in range(4)}
-    assert workers == {t.ident for t in nn._POOL._threads}
+    assert workers == {t.ident for t in T._POOL._threads}
