@@ -155,6 +155,33 @@ def fps(points: np.ndarray, m: int, seed_rule: str = "first_index") -> np.ndarra
     return chosen
 
 
+def _tree_neighbours(pts: np.ndarray, q: np.ndarray, k: int, extra: int):
+    """``(candidates, settled)`` from a k-d tree (Bentley 1975; Friedman,
+    Bentley & Finkel 1977) on exact float64 copies of float32 or float64
+    inputs: each query's ``k + extra`` nearest points (all, if fewer), and
+    the rows where the scan's ``k`` nearest are among them and rank before
+    every other point. A scan value ``(dx*dx + dy*dy) + dz*dz`` lies within
+    a relative 8u (u: the dtype's unit roundoff) plus a few smallest
+    subnormals of the exact squared distance, and the tree's float64
+    rounding adds a margin: a row is settled when its last candidate is
+    farther than its k-th by both. None when a coordinate is non-finite or
+    so large that a squared difference could overflow: the scan has its
+    own rules there.
+    """
+    if pts.dtype not in (np.float32, np.float64):
+        return None
+    fi = np.finfo(pts.dtype)
+    big = np.sqrt(fi.max) / 4
+    if not (np.all(np.abs(pts) <= big) and np.all(np.abs(q) <= big)):  # NaN fails too
+        return None
+    m, kk = len(q), min(k + extra, len(pts))
+    dist, cand = cKDTree(pts.astype(np.float64)).query(q.astype(np.float64), kk)
+    dist, cand = dist.reshape(m, kk), cand.reshape(m, kk)
+    r, a = 4 * fi.eps + 32 * np.finfo(np.float64).eps, 8 * fi.smallest_subnormal
+    d_k, d_last = dist[:, k - 1] ** 2, dist[:, -1] ** 2
+    return cand, (kk < k + extra) | (d_last * (1 - r) - a > d_k * (1 + r) + a)
+
+
 def knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k nearest points per query, ascending distance, ties by
     lowest index.
@@ -162,13 +189,35 @@ def knn(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     Exact top-k: a partition finds each row's k-th smallest squared distance,
     and only the columns not above it are sorted, by (distance, index). When
     k is at least half the cloud, most columns would be sorted anyway, and one
-    stable argsort of the whole rows is faster.
+    stable argsort of the whole rows is faster. From 2**16 query-point pairs
+    a k-d tree first proposes ``k + 8`` candidates per query, re-ranked by
+    (distance, index) with the scan's arithmetic; only rows it cannot settle
+    (``_tree_neighbours``) are scanned. ``SetAbstraction``'s (2048, 512, 16)
+    took 3.2 ms against the scan's 11.4, (512, 128, 16) 0.9 against 1.1, and
+    ``mini``'s largest, (256, 64, 8), 0.35 against 0.18 (``BENCH_neighbours.json``).
     """
     pts = np.asarray(points, dtype=np.float64)
     q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     m, n = len(q), len(pts)
     if not 1 <= k <= n:
         raise ValueError(f"knn: k={k} out of range for cloud size {n}")
+    return _knn(pts, q, k, tree=2 * k < n and m * n >= 2**16)
+
+
+def _knn(pts: np.ndarray, q: np.ndarray, k: int, tree: bool) -> np.ndarray:
+    found = _tree_neighbours(pts, q, k, 8) if tree else None
+    if found is None:
+        return _knn_scan(pts, q, k)
+    cand, settled = found
+    d2 = _sq_dist(q.T[:, :, None], pts[cand].transpose(2, 0, 1),
+                  np.empty(cand.shape), np.empty(cand.shape))
+    idx = np.take_along_axis(cand, np.lexsort((cand, d2), axis=1)[:, :k], axis=1)
+    idx[~settled] = _knn_scan(pts, q[~settled], k)
+    return idx
+
+
+def _knn_scan(pts: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
+    m, n = len(q), len(pts)
     d2 = np.empty((m, n))
     for _ in _sq_dist_blocks(pts, q, d2):
         pass
@@ -189,13 +238,32 @@ def nearest(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     and takes each row's ``argmin``, so the indices equal ``np.argmin`` over the
     dense (queries, points) distance matrix: NaN rows and columns included, and
     with points and queries swapped, since (b - a)**2 == (a - b)**2 bit for bit.
+    From 2**18 query-point pairs a k-d tree answers each row whose two nearest
+    points it tells apart (``_tree_neighbours``), and the scan the rest: 2048 x
+    2048, the loss's size, took 2.1 ms against 10.3, 512 x 512 0.45 against
+    0.58, and 256 x 256 (``mini``) 0.23 against 0.17 (``BENCH_neighbours.json``).
     """
     pts, q = np.asarray(points), np.atleast_2d(np.asarray(queries))
     if len(pts) == 0:
         raise ValueError("nearest: empty point set")
     dtype = np.result_type(pts, q, np.float32)
+    pts, q = pts.astype(dtype, copy=False), q.astype(dtype, copy=False)
+    return _nearest(pts, q, tree=len(pts) * len(q) >= 2**18)
+
+
+def _nearest(pts: np.ndarray, q: np.ndarray, tree: bool) -> np.ndarray:
+    found = _tree_neighbours(pts, q, 1, 1) if tree else None
+    if found is None:
+        return _nearest_scan(pts, q)
+    cand, settled = found
+    idx = cand[:, 0].copy()
+    idx[~settled] = _nearest_scan(pts, q[~settled])
+    return idx
+
+
+def _nearest_scan(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
     idx = np.empty(len(q), dtype=np.int64)
-    for s, block in _sq_dist_blocks(pts.astype(dtype, copy=False), q.astype(dtype, copy=False)):
+    for s, block in _sq_dist_blocks(pts, q):
         np.argmin(block, axis=1, out=idx[s:s + len(block)])
     return idx
 

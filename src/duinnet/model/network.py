@@ -18,31 +18,34 @@ from .encoders import ImageEncoder, PointEncoder
 from .generator import AdaptivePointGenerator
 
 
-def chamfer_l1_t(a: Tensor, b: Tensor) -> Tensor:
+def chamfer_l1_t(a: Tensor, b: Tensor, pair=in_turn) -> Tensor:
     """Differentiable symmetric mean nearest-neighbor distance (halved per side).
 
     ``geometry.nearest`` picks each point's nearest neighbor in the other cloud
     off the tape (ties to the lowest index), and only those |a| + |b| pairs are
     differentiated, so the tape holds O(|a| + |b|) values, not an (|a|, |b|, 3)
     difference. The chosen indices are constants; gradients flow only to the
-    selected pairs.
+    selected pairs. The two directions are built by the branch runner ``pair``;
+    the value and gradients are the same either way.
     """
     def side(p, q):  # mean distance from each point of p to its nearest point of q
         d = T.sub(p, T.gather(q, geometry.nearest(q.data, p.data), axis=0))
         return T.reduce_mean(T.sqrt_safe(T.reduce_sum(T.mul(d, d), axis=1)))
 
     half = T.tensor(0.5, dtype=a.dtype)
-    return T.add(T.mul(side(a, b), half), T.mul(side(b, a), half))
+    ab, ba = pair(lambda: side(a, b), lambda: side(b, a))
+    return T.add(T.mul(ab, half), T.mul(ba, half))
 
 
-def completion_loss(p_gen1: Tensor, p_gen2: Tensor, p_gt, mode: str = "standard") -> Tensor:
+def completion_loss(p_gen1: Tensor, p_gen2: Tensor, p_gt, mode: str = "standard",
+                    pair=in_turn) -> Tensor:
     """Sum of both generated clouds' l1 Chamfer terms, or only the first in
     denoising mode (noisy partials make the resampled branch counterproductive)."""
     gt = p_gt if isinstance(p_gt, Tensor) else T.tensor(np.asarray(p_gt, dtype=p_gen1.data.dtype))
     if mode == "standard":
-        return T.add(chamfer_l1_t(p_gen1, gt), chamfer_l1_t(p_gen2, gt))
+        return T.add(chamfer_l1_t(p_gen1, gt, pair), chamfer_l1_t(p_gen2, gt, pair))
     if mode == "denoising":
-        return chamfer_l1_t(p_gen1, gt)
+        return chamfer_l1_t(p_gen1, gt, pair)
     raise ValueError(f"unknown loss mode {mode!r}")
 
 
@@ -123,4 +126,4 @@ class DuInNet(Module):
     __call__ = forward
 
     def loss(self, out: dict, p_gt, mode: str = "standard") -> Tensor:
-        return completion_loss(out["p_gen1"], out["p_gen2"], p_gt, mode)
+        return completion_loss(out["p_gen1"], out["p_gen2"], p_gt, mode, branch_runner(self.cfg))

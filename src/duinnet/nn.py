@@ -246,31 +246,48 @@ class Adam:
                 runs.append([i, i + 1])
         return runs
 
-    def nonfinite_grad(self) -> int | None:
-        """Index of the first parameter whose gradient holds a NaN or an
-        infinity, or None; one ``isfinite`` pass per run of gradients."""
-        for i, j in self._runs():
-            if not np.isfinite(self._grad[self._bounds[i]:self._bounds[j]]).all():
-                return next(k for k in range(i, j)
-                            if not np.isfinite(self.params[k].grad).all())
-        return None
+    def _halves(self, runs: list[list[int]]) -> tuple[list[slice], list[slice]]:
+        """The runs' ``CHUNK``-element slices of the arena, in two contiguous halves."""
+        chunks = [slice(lo, min(lo + self.CHUNK, self._bounds[j]))
+                  for i, j in runs for lo in range(self._bounds[i], self._bounds[j], self.CHUNK)]
+        h = (len(chunks) + 1) // 2
+        return chunks[:h], chunks[h:]
 
-    def step(self) -> None:
-        b1, b2 = 0.9, 0.999
+    def nonfinite_grad(self, pair=in_turn) -> int | None:
+        """Index of the first parameter whose gradient holds a NaN or an
+        infinity, or None. The branch runner ``pair`` checks the two halves of
+        the arena's slices; if either finds one, an ordered scan names it."""
         runs = self._runs()
+        first, second = self._halves(runs)
+
+        def finite(chunks: list[slice]) -> bool:
+            return all(np.isfinite(self._grad[s]).all() for s in chunks)
+
+        if all(pair(lambda: finite(first), lambda: finite(second))):
+            return None
+        return next(k for i, j in runs for k in range(i, j)
+                    if not np.isfinite(self.params[k].grad).all())
+
+    def step(self, pair=in_turn) -> None:
+        """One update; the branch runner ``pair`` updates the two halves of the
+        arena's slices. The update is elementwise, so the bits do not depend on
+        the split."""
+        b1, b2 = 0.9, 0.999
+        halves = self._halves(self._runs())
         self.t += 1
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for i, j in runs:
-            end = self._bounds[j]
-            for lo in range(self._bounds[i], end, self.CHUNK):
-                s = slice(lo, min(lo + self.CHUNK, end))
+
+        def update(chunks: list[slice]) -> None:
+            for s in chunks:
                 g, m, v = self._grad[s], self._m[s], self._v[s]
                 m *= b1
                 m += (1 - b1) * g
                 v *= b2
                 v += (1 - b2) * g * g
                 self._data[s] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+        pair(lambda: update(halves[0]), lambda: update(halves[1]))
 
     def zero_grad(self) -> None:
         for p in self.params:

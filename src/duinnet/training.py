@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .model import network
 from .model.network import DuInNet
 from .nn import Adam, load_state
 
@@ -31,6 +32,7 @@ class TrainState:
     def train_step(self, partial, image, gt, mode: str = "standard") -> float:
         self.model.train()
         self.opt.zero_grad()
+        pair = network.branch_runner(self.model.cfg)
         # the forward moves the BatchNorm running buffers; a failed step puts
         # them back, and both checks come before the update, so it changes no state
         buffers = [(buf, buf.copy()) for _, buf in self.model.named_buffers()]
@@ -41,7 +43,7 @@ class TrainState:
             value = float(loss.data)
             if not np.isfinite(value):
                 raise FloatingPointError(f"non-finite loss at step {self.step}")
-            bad = self.opt.nonfinite_grad()
+            bad = self.opt.nonfinite_grad(pair)
             if bad is not None:
                 raise FloatingPointError(
                     f"non-finite gradient of '{list(self.named)[bad]}' at step {self.step}")
@@ -50,7 +52,7 @@ class TrainState:
                 np.copyto(buf, saved)
             raise
         self.opt.lr = self._current_lr()
-        self.opt.step()
+        self.opt.step(pair)
         self.step += 1
         return value
 

@@ -13,6 +13,7 @@ from helpers import (box_mesh, eliminate_samples_oracle, fps_norm_loop_oracle,
                      fps_replay_oracle, knn_argsort_oracle, knn_sort_oracle, save_cloud_ply_oracle,
                      save_off, square_mesh, uv_sphere)
 
+from duinnet import geometry
 from duinnet.geometry import (GeometryError, HPRConfig, PointCloud, TriMesh,
                               _eliminate_samples,
                               add_gaussian_noise, fps, hidden_point_removal, knn,
@@ -239,6 +240,108 @@ def test_nearest_keeps_the_dense_sum_order_and_nan_rule(dtype):
 def test_nearest_rejects_empty_point_set():
     with pytest.raises(ValueError):
         nearest(np.zeros((0, 3)), np.zeros((2, 3)))
+
+
+# -- the k-d tree path of nearest and knn -----------------------------------------
+
+
+def _tree_nearest(pts, queries):
+    """``nearest`` with the k-d tree asked for, whatever the size rule says."""
+    return geometry._nearest(pts, np.atleast_2d(queries), tree=True)
+
+
+def _tree_knn(pts, queries, k):
+    """``knn`` (float64, as it searches) with the k-d tree asked for."""
+    return geometry._knn(np.asarray(pts, dtype=np.float64),
+                         np.atleast_2d(np.asarray(queries, dtype=np.float64)), k, tree=True)
+
+
+def _assert_tree_matches_scan(pts, queries, ks=()):
+    np.testing.assert_array_equal(_tree_nearest(pts, queries), _dense_argmin(pts, queries))
+    np.testing.assert_array_equal(_tree_nearest(queries, pts), _dense_argmin(queries, pts))
+    for k in ks:
+        np.testing.assert_array_equal(_tree_knn(pts, queries, k),
+                                      knn_argsort_oracle(pts, queries, k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tied_clouds(), st.data(), st.sampled_from([np.float32, np.float64]))
+def test_tree_search_matches_the_oracles_on_tied_clouds(pts, data, dtype):
+    n = len(pts)
+    k = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="k")
+    queries = data.draw(st.one_of(st.just(pts), _tied_clouds(max_n=12)), label="queries")
+    _assert_tree_matches_scan(pts.astype(dtype), queries.astype(dtype), [k])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tree_search_keeps_mirrored_ties_and_duplicates(dtype):
+    rng = np.random.default_rng(11)
+    half = rng.uniform(-2, 2, size=(200, 3))
+    pts = np.vstack([half, half[:, ::-1], half[:40]]).astype(dtype)  # mirrored, duplicated
+    queries = np.vstack([np.zeros((1, 3)), rng.uniform(-2, 2, size=(60, 3))]).astype(dtype)
+    _, settled = geometry._tree_neighbours(pts, queries, 1, 1)
+    assert 0.5 < settled.mean() < 1  # the tree answers most rows, never the origin's
+    _assert_tree_matches_scan(pts, queries, [1, 16, len(pts)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tree_search_defers_neighbours_the_scan_rounds_together(dtype):
+    # exactly, (1, h, 0) is h*h (u/4 in float32, u/2 in float64) farther from
+    # the origin than (1, 0, 0): the scan rounds both to 1 and takes index 0,
+    # the lower. (1 + 1 ulp, 0, 0) is the 1-ulp neighbour; the far points repeat.
+    h = {np.float32: 2.0 ** -13, np.float64: 2.0 ** -27}[dtype]
+    up = np.nextafter(np.ones(1, dtype=dtype), 2)[0]
+    far = np.random.default_rng(14).uniform(2, 3, size=(20, 3))
+    pts = np.vstack([[[1, h, 0], [1, 0, 0], [up, 0, 0]], far, far[:5]]).astype(dtype)
+    queries = np.vstack([np.zeros((1, 3)), [[2, 0, 0], [2, h, 0]], pts[:4]]).astype(dtype)
+    _assert_tree_matches_scan(pts, queries, [1, 2, 3, 5])
+
+
+@pytest.mark.parametrize("dtype, scale", [
+    (np.float32, 1e-30), (np.float32, 1e-22), (np.float32, 1e-19), (np.float32, 1e18),
+    (np.float32, 1e20), (np.float64, 1e-160), (np.float64, 1e150), (np.float64, 1e155)])
+def test_tree_search_on_clouds_with_subnormal_or_overflowing_squares(dtype, scale):
+    rng = np.random.default_rng(13)
+    pts = rng.uniform(-2, 2, size=(120, 3)) * scale
+    pts = np.vstack([pts, pts[:10]]).astype(dtype)
+    queries = np.vstack([pts[:20], rng.uniform(-2, 2, size=(20, 3)) * scale]).astype(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):  # where squares overflow, as the scan does
+        _assert_tree_matches_scan(pts, queries, [4] if dtype == np.float64 else [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tree_search_leaves_non_finite_clouds_to_the_scan(dtype, bad):
+    rng = np.random.default_rng(15)
+    pts = rng.standard_normal((50, 3)).astype(dtype)
+    queries = rng.standard_normal((12, 3)).astype(dtype)
+    pts[[3, 8], 1] = bad
+    queries[2, 0] = -bad
+    assert geometry._tree_neighbours(pts, queries, 1, 1) is None
+    with np.errstate(invalid="ignore"):  # inf - inf, as the scan meets it
+        _assert_tree_matches_scan(pts, queries, [1, 5])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tree_search_single_point(dtype):
+    one = np.array([[0.5, -1.0, 2.0]], dtype=dtype)
+    queries = np.random.default_rng(16).standard_normal((7, 3)).astype(dtype)
+    _assert_tree_matches_scan(one, queries, [1])
+
+
+def test_tree_size_rule_keeps_the_scan_at_mini_sizes(monkeypatch):
+    calls = []
+    search = geometry._tree_neighbours
+    monkeypatch.setattr(geometry, "_tree_neighbours",
+                        lambda *a: calls.append(a[0].shape + a[1].shape[:1] + a[2:3]) or search(*a))
+    rng = np.random.default_rng(17)
+    cloud, pts = rng.standard_normal((2048, 3)), rng.standard_normal((256, 3))
+    nearest(pts.astype(np.float32), pts.astype(np.float32))   # mini's loss
+    knn(pts, pts[:64], 8)                                       # mini's largest knn
+    assert calls == []
+    nearest(cloud.astype(np.float32), cloud.astype(np.float32))   # paper's loss
+    knn(cloud, cloud[:512], 16)                                    # paper's first grouping
+    assert calls == [(2048, 3, 2048, 1), (2048, 3, 512, 16)]
 
 
 # -- poisson disk sampling -------------------------------------------------------

@@ -352,6 +352,61 @@ def test_adam_arena_matches_per_array_oracle():
     assert not opt.m[2].any() and not opt.v[2].any()
 
 
+@pytest.mark.parametrize("sizes, chunks", [
+    ([(3, 4), (Adam.CHUNK + 7,), (5,), (2, 3)], 3),
+    ([(Adam.CHUNK,), (Adam.CHUNK + 1,), (5,), (2, 3)], 4),
+    ([(3, 4), (5,), (5,), (2,)], 2),
+    ([(3, 4), (5,)], 1)], ids=["odd", "even", "two", "single"])
+def test_adam_step_side_by_side_matches_per_array_oracle(sizes, chunks):
+    """Three steps with the arena's slices split between two threads:
+    parameter 2 (where there is one) never has a gradient, and parameter 0's
+    is assigned from outside the arena at step 2. Parameters and moments
+    equal the per-array update's."""
+    rng = np.random.default_rng(19)
+    params = [T.tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+              for s in sizes]
+    ref = _oracle_copies(params)
+    ref_m = [np.zeros_like(p.data) for p in ref]
+    ref_v = [np.zeros_like(p.data) for p in ref]
+    opt = Adam(params, lr=1e-2)
+    for t in (1, 2, 3):
+        opt.zero_grad()
+        for p in ref:
+            p.grad = None
+        for i, (p, q) in enumerate(zip(params, ref)):
+            if i == 2:
+                continue
+            g = rng.standard_normal(p.shape).astype(np.float32)
+            if i == 0 and t == 2:
+                p.grad = g.copy()
+            else:
+                p._accumulate(g)
+            q._accumulate(g)
+        assert sum(map(len, opt._halves(opt._runs()))) == chunks
+        run_within(10, lambda: opt.step(side_by_side))
+        adam_per_array_oracle(ref, ref_m, ref_v, t, lr=1e-2)
+        for got, want in zip([p.data for p in params] + opt.m + opt.v,
+                             [p.data for p in ref] + ref_m + ref_v):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad, first", [((4,), 4), ((3, 4), 3), ((1, 4), 1), ((2,), 2)],
+                         ids=["worker_half", "worker_half_twice", "both_halves", "straddling"])
+def test_nonfinite_grad_side_by_side_names_the_first_bad_parameter(bad, first):
+    """Four arena slices: the calling thread checks [0, 2 CHUNK), the worker
+    the rest, which holds parameters 3 and 4 and the end of parameter 2."""
+    sizes = [(Adam.CHUNK,), (5,), (Adam.CHUNK,), (Adam.CHUNK,), (3,)]
+    params = [T.tensor(np.zeros(s, np.float32), requires_grad=True) for s in sizes]
+    opt = Adam(params)
+    for p in params:
+        p._accumulate(np.ones(p.shape, np.float32))
+    assert run_within(10, lambda: opt.nonfinite_grad(side_by_side)) is None
+    for i in bad:
+        params[i].grad[-1] = np.nan if i % 2 else np.inf
+    assert run_within(10, lambda: opt.nonfinite_grad(side_by_side)) == first
+    assert opt.nonfinite_grad() == first
+
+
 def test_adam_arena_matches_per_array_oracle_on_ablation_split(shapes):
     """The 0/4 split (no image-fed blocks) leaves the interactor's image
     path without gradients; three train steps still equal the per-array
@@ -582,6 +637,21 @@ def test_train_step_leaves_the_thread_count_unchanged(shapes, monkeypatch, runne
     run_within(60, lambda: state.train_step(*shapes[0]))
     before = threading.active_count()
     run_within(60, lambda: state.train_step(*shapes[1]))
+    assert threading.active_count() == before
+
+
+def test_paper_runner_train_step_on_mini_leaves_the_thread_count_unchanged(shapes,
+                                                                           monkeypatch):
+    """The runner ``paper`` gets with one BLAS thread (side by side on two
+    cores) also runs the loss's directions, the check and Adam: a mini train
+    step with it leaves the thread count as it found it."""
+    monkeypatch.setattr(network, "_blas_threads", lambda: 1)
+    runner = network.branch_runner(make_config("paper"))
+    monkeypatch.setattr(network, "branch_runner", lambda cfg: runner)
+    state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    run_within(60, lambda: state.train_step(*shapes[0]))
+    before = threading.active_count()
+    run_within(60, lambda: state.train_step(*shapes[1], mode="denoising"))
     assert threading.active_count() == before
 
 
