@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import tensor as T
-from ..nn import LayerNorm, Linear, Module, in_turn
-from ..tensor import Tensor
+from ..nn import LayerNorm, Linear, Module
+from ..tensor import Tensor, in_turn
 
 
 class CrossAttentionBlock(Module):
@@ -72,7 +72,7 @@ class InteractorPath(Module):
 class DualFeatureInteractor(Module):
     """Two symmetric, independently parameterized interaction paths.
 
-    Neither path reads the other's result, so ``pair`` (an ``nn`` branch
+    Neither path reads the other's result, so ``pair`` (a ``tensor`` branch
     runner) may run them at once.
     """
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import tensor as T
-from ..nn import LBR, Linear, Module, in_turn
-from ..tensor import Tensor
+from ..nn import LBR, Linear, Module
+from ..tensor import Tensor, in_turn
 from .config import ModelConfig
 
 
@@ -40,7 +40,7 @@ class GeneratorBlock(Module):
 class AdaptivePointGenerator(Module):
     """n_pc point-path blocks followed by n_img image-path blocks, concatenated.
 
-    The two groups read different tokens, so ``pair`` (an ``nn`` branch
+    The two groups read different tokens, so ``pair`` (a ``tensor`` branch
     runner) may run them at once.
     """
 

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from .. import geometry, tensor as T
-from ..nn import Module, in_turn, side_by_side
-from ..tensor import Tensor
+from ..nn import Module
+from ..tensor import Tensor, in_turn, side_by_side
 from .attention import DualFeatureInteractor
 from .config import ModelConfig
 from .encoders import ImageEncoder, PointEncoder
@@ -19,7 +19,7 @@ from .generator import AdaptivePointGenerator
 
 
 def chamfer_l1_t(a: Tensor, b: Tensor, pair=in_turn) -> Tensor:
-    """Differentiable symmetric mean nearest-neighbor distance (halved per side).
+    """Differentiable symmetric mean nearest-neighbor distance (the mean of both directions).
 
     ``geometry.nearest`` picks each point's nearest neighbor in the other cloud
     off the tape (ties to the lowest index), and only those |a| + |b| pairs are
@@ -34,7 +34,7 @@ def chamfer_l1_t(a: Tensor, b: Tensor, pair=in_turn) -> Tensor:
 
     half = T.tensor(0.5, dtype=a.dtype)
     ab, ba = pair(lambda: side(a, b), lambda: side(b, a))
-    return T.add(T.mul(ab, half), T.mul(ba, half))
+    return T.mul(T.add(ab, ba), half)
 
 
 def completion_loss(p_gen1: Tensor, p_gen2: Tensor, p_gt, mode: str = "standard",

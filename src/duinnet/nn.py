@@ -1,4 +1,4 @@
-"""Layers and optimizer built on the autodiff tensor engine, and its branch runners.
+"""Layers and optimizer built on the autodiff tensor engine.
 
 Modules hold named parameters (dotted paths, e.g. ``dfi.pc_path.ca1.q_proj.weight``)
 and can be serialized through the flat checkpoint archive in :mod:`duinnet.tensor`.
@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, in_turn, side_by_side  # noqa: F401 - the branch runners
+from .tensor import Tensor, in_turn
 
 
 class Module:

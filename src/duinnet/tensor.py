@@ -53,9 +53,7 @@ class Tensor:
                  "_on_worker")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
+        arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(_DEFAULT_DTYPE)
         self.data = arr if arr.ndim == 0 else np.ascontiguousarray(arr)
@@ -168,12 +166,6 @@ class GradTape:
         return len(self.entries)
 
 
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
-
-
 def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
     return Tensor(data, requires_grad=requires_grad, dtype=dtype)
 
@@ -214,19 +206,26 @@ class _ThreadRole(threading.local):
 
 
 _ROLE = _ThreadRole()
-_POOL: ThreadPoolExecutor | None = None  # side_by_side's worker, made on first use
-_POOL_LOCK = threading.Lock()
 
 
-def _forget_pool() -> None:
-    """In a forked child: it has no copy of the worker thread, and the lock
-    may have been held by a thread that is gone."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
+def _new_pool() -> ThreadPoolExecutor:
+    """side_by_side's one worker. Its thread starts on the first ``submit``;
+    the executor's lock lets concurrent first calls start only one."""
+    return ThreadPoolExecutor(1, thread_name_prefix="duinnet-branch",
+                              initializer=setattr, initargs=(_ROLE, "on_worker", True))
+
+
+_POOL = _new_pool()
+
+
+def _renew_pool() -> None:
+    """In a forked child, which has no copy of the worker thread."""
+    global _POOL
+    _POOL = _new_pool()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_renew_pool)
 
 
 def side_by_side(f, g):
@@ -241,12 +240,7 @@ def side_by_side(f, g):
     on the thread that built it. There is one worker, so ``g`` must not call
     ``side_by_side`` itself.
     """
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(1, thread_name_prefix="duinnet-branch",
-                                       initializer=setattr, initargs=(_ROLE, "on_worker", True))
-        future = _POOL.submit(g)
+    future = _POOL.submit(g)
     try:
         a = f()
     finally:
@@ -322,8 +316,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
     def bw(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
@@ -334,8 +326,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
     def bw(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
@@ -346,8 +336,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-
     def bw(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.shape))
@@ -385,13 +373,11 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """``(..., m, k) x (..., k, n)``, then ``+= bias`` for an optional (n,) ``bias``:
     both operands have the same leading (batch) axes, which do not broadcast,
     and each batch slice is one 2-D product."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
             or a.shape[-1] != b.shape[-2]):
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out = a.data @ b.data
     if bias is not None:
-        bias = _as_tensor(bias)
         if bias.shape != b.shape[-1:]:
             raise DimensionError(f"matmul bias shape {bias.shape} does not match {b.shape}")
         out += bias.data
@@ -427,7 +413,6 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -530,7 +515,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Row-wise layer normalization over the last axis with learnable affine."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    gain, bias = _as_tensor(gain), _as_tensor(bias)
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
@@ -576,7 +560,6 @@ def batch_norm_1d(
     arXiv:1604.06174), so the node keeps only (c,) statistics besides its
     input and output.
     """
-    gain, bias = _as_tensor(gain), _as_tensor(bias)
     xd, c = x.data, x.shape[-1]  # reductions run over (-1, c) views of contiguous data
     if training:
         rows = xd.reshape(-1, c)

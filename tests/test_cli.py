@@ -6,6 +6,7 @@ from __future__ import annotations
 import filecmp
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -220,6 +221,16 @@ def test_train_denoising_task_runs(cli_workspace):
     rc = main(["train", "--data", str(data), "--out", str(run), "--profile", "mini",
                "--task", "denoising", "--steps", "2", "--limit", "2", "--seed", "0"])
     assert rc == EXIT_OK
+
+
+def test_train_verbose_prints_the_first_step_loss(cli_workspace, tmp_path, capsys):
+    _, _, data = cli_workspace
+    assert main(["train", "--data", str(data), "--out", str(tmp_path), "--profile", "mini",
+                 "--steps", "1", "--limit", "2", "--seed", "0", "--verbose"]) == EXIT_OK
+    printed = re.findall(r"^step (\d+)  loss (\d+\.\d{6})$", capsys.readouterr().out, re.M)
+    curve = (tmp_path / "loss_curve.tsv").read_text().split()
+    assert [step for step, _ in printed] == ["0"]
+    assert abs(float(printed[0][1]) - float(curve[1])) <= 5e-7
 
 
 def test_train_nonfinite_loss_exits_numeric(cli_workspace, tmp_path):
@@ -562,6 +573,15 @@ def _mesh_dir(tmp: Path) -> Path:
     return tmp / "meshes"
 
 
+def _bowl_dataset(data: Path, tmp: Path) -> Path:
+    """A dataset of the workspace's bowls alone: bowl is an unseen category, so
+    the zero-shot train split is empty."""
+    shutil.copytree(data.parent / "meshes" / "bowl", tmp / "meshes" / "bowl")
+    assert main(["gen", "--mesh-dir", str(tmp / "meshes"), "--out", str(tmp / "bowl"),
+                 "--n-points", "128", "--n-viewpoints", "4", "--image-side", "32"]) == EXIT_OK
+    return tmp / "bowl"
+
+
 def _copy_without(data: Path, tmp: Path, pattern: str) -> Path:
     cut = tmp / "data"
     shutil.copytree(data, cut)
@@ -639,6 +659,9 @@ _EXIT_CASES = {
                                   {}, EXIT_CONFIG, "--partitions"),
     "ablate-partition-negative": (lambda d, t: ["ablate", "--data", d, "--partitions", "5/-1"],
                                   {}, EXIT_CONFIG, "--partitions"),
+    "ablate-partition-totals-differ": (lambda d, t: ["ablate", "--data", d,
+                                                     "--partitions", "0/4,2/3"],
+                                       {}, EXIT_CONFIG, "block count: [4, 5]"),
     "gen-no-mesh-dir": (lambda d, t: ["gen"], {}, EXIT_CONFIG, "--mesh-dir"),
     "train-no-data": (lambda d, t: ["train"], {}, EXIT_CONFIG, "--data"),
     "eval-no-data": (lambda d, t: ["eval"], {}, EXIT_CONFIG, "--data"),
@@ -655,6 +678,9 @@ _EXIT_CASES = {
                              {}, EXIT_DATA, ".raster"),
     "eval-missing-ply": (lambda d, t: ["eval", "--data", _copy_without(d, t, "*.ply")],
                          {}, EXIT_DATA, ".ply"),
+    "train-zeroshot-only-unseen": (lambda d, t: ["train", "--data", _bowl_dataset(d, t),
+                                                 "--task", "zeroshot", "--steps", "1"],
+                                   {}, EXIT_DATA, "empty train split of task 'zeroshot'"),
 }
 
 

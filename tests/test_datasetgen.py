@@ -259,6 +259,22 @@ def test_synthesize_convex_model(tmp_path):
         assert img.shape == (32, 32, 3) and img.max() > 0
 
 
+def test_synthesize_excludes_every_view_below_min_ratio(tmp_path):
+    """A convex shell is about half visible from anywhere, so with min_ratio 0.9
+    every view is excluded, listed with its visible ratio, and writes no files."""
+    cfg = GenConfig(n_points=128, n_viewpoints=4, image_side=32, min_ratio=0.9, max_ratio=0.95)
+    viewpoints = make_viewpoints(4)
+    records, exclusions = synthesize_model(
+        uv_sphere(10, 20), "sphere_0001", "bowl", viewpoints, cfg, tmp_path)
+    complete = geometry.load_cloud_ply(tmp_path / "bowl" / "sphere_0001" / "complete.ply")
+    ratios = [len(geometry.hidden_point_removal(complete, vp.position * cfg.camera_distance)
+                  .indices) / 128 for vp in viewpoints]
+    assert not records and max(ratios) < 0.9
+    assert exclusions == [{"model_id": "sphere_0001", "category": "bowl", "viewpoint_id": k,
+                           "visible_ratio": r} for k, r in enumerate(ratios)]
+    assert not list(tmp_path.rglob("vp_*"))
+
+
 def test_dataset_fixture_record_and_pair_arithmetic(two_model_dataset):
     _, _, manifest, report = two_model_dataset
     assert report["records"] == 64

@@ -6,9 +6,11 @@ import hashlib
 import importlib.util
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,8 @@ from helpers import adam_per_array_oracle, overfit_shapes, run_within
 from duinnet import tensor as T
 from duinnet.model import DuInNet, make_config, mini_config, network
 from duinnet.model.encoders import ImageEncoder, PointEncoder
-from duinnet.nn import Adam, in_turn, side_by_side
+from duinnet.nn import Adam
+from duinnet.tensor import in_turn, side_by_side
 from duinnet.training import TrainState, train_loop
 
 
@@ -514,11 +517,12 @@ def test_side_by_side_branches_keep_every_bit(shapes, monkeypatch):
 
 
 def test_mini_runs_in_turn_and_starts_no_thread(shapes, monkeypatch):
-    monkeypatch.setattr(T, "_POOL", None)
+    pool = T._new_pool()
+    monkeypatch.setattr(T, "_POOL", pool)
     model = DuInNet(mini_config(), seed=0)
     before = threading.active_count()
     model(*shapes[0][:2])
-    assert threading.active_count() == before and T._POOL is None
+    assert threading.active_count() == before and not pool._threads
     two_cores = len(os.sched_getaffinity(0)) >= 2
     monkeypatch.setattr(network, "_blas_threads", lambda: 1)
     assert network.branch_runner(make_config("paper")) is (side_by_side if two_cores else in_turn)
@@ -671,9 +675,10 @@ def test_wrong_size_image_raises_the_same_error_side_by_side(shapes, monkeypatch
 
 def test_side_by_side_from_many_threads_makes_one_worker(monkeypatch):
     """Callers on four threads, with a short switch interval, each get their
-    own pair of results, and every second branch runs on the one worker of
-    the lazily made pool."""
-    monkeypatch.setattr(T, "_POOL", None)
+    own pair of results, and every second branch runs on the one worker
+    thread of a fresh executor, started by whichever caller came first."""
+    pool = T._new_pool()
+    monkeypatch.setattr(T, "_POOL", pool)
     results, errors, workers = {}, [], set()
 
     def second(k, i):
@@ -697,6 +702,33 @@ def test_side_by_side_from_many_threads_makes_one_worker(monkeypatch):
             t.join(timeout=30)
     finally:
         sys.setswitchinterval(interval)
+        pool.shutdown()
     assert not errors and not any(t.is_alive() for t in threads)
     assert results == {k: [((k, i), (k, -i)) for i in range(50)] for k in range(4)}
-    assert workers == {t.ident for t in T._POOL._threads}
+    assert len(pool._threads) == 1 and workers == {t.ident for t in pool._threads}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")  # Python 3.12+: threads alive
+def test_forked_child_runs_side_by_side_on_its_own_worker():
+    """A child forked after the worker has run has no copy of its thread. It
+    gets a fresh executor at fork, so ``side_by_side`` returns there too;
+    without one it waits forever, and the alarm kills it."""
+    assert run_within(10, lambda: side_by_side(lambda: 1, lambda: 2)) == (1, 2)
+    pid = os.fork()
+    if pid == 0:  # the child leaves by os._exit, never back into pytest
+        code = 1
+        try:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(10)
+            code = 0 if side_by_side(lambda: 1, lambda: 2) == (1, 2) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child still running after 30 s")
+        time.sleep(0.05)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
