@@ -9,6 +9,7 @@ dataset file, mesh, raster or checkpoint), 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import itertools
 import json
 import os
@@ -21,7 +22,7 @@ import numpy as np
 from . import datasetgen, geometry, metrics, tensor as T
 from .datasetgen import ConfigError, GenConfig, Manifest
 from .gradcheck import gradient_suite
-from .model import DuInNet, make_config, mini_config
+from .model import DuInNet, make_config, mini_config, network
 from .training import TrainState, train_loop
 
 EXIT_OK = 0
@@ -337,6 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # model commands run one BLAS thread: host-independent bits, and two-core branches
+    threads = network._blas_threads() if args.command in ("train", "eval", "ablate") else None
+    set_threads = network._openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    if threads is not None:
+        set_threads(1)
     try:
         opts = resolve_options(args.command, vars(args))
         handler = _COMMANDS[args.command][1]
@@ -350,6 +356,9 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    finally:
+        if threads is not None:
+            set_threads(threads)
 
 
 if __name__ == "__main__":

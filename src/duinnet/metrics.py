@@ -47,7 +47,7 @@ class MetricReport:
 
 def evaluate_pair(pred, gt, d: float = 0.001) -> MetricReport:
     """All five metrics of one pair, from one nearest-neighbor pass each way."""
-    if d <= 0:
+    if not d > 0:  # NaN too
         raise ValueError("threshold d must be positive")
     pa, qa = _pts(pred), _pts(gt)
     dpq, dqp = nearest_sq_dists(pa, qa), nearest_sq_dists(qa, pa)

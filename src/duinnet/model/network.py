@@ -18,34 +18,33 @@ from .encoders import ImageEncoder, PointEncoder
 from .generator import AdaptivePointGenerator
 
 
-def chamfer_l1_t(a: Tensor, b: Tensor, pair=in_turn) -> Tensor:
+def chamfer_l1_t(a: Tensor, b: Tensor) -> Tensor:
     """Differentiable symmetric mean nearest-neighbor distance (the mean of both directions).
 
     ``geometry.nearest`` picks each point's nearest neighbor in the other cloud
     off the tape (ties to the lowest index), and only those |a| + |b| pairs are
     differentiated, so the tape holds O(|a| + |b|) values, not an (|a|, |b|, 3)
     difference. The chosen indices are constants; gradients flow only to the
-    selected pairs. The two directions are built by the branch runner ``pair``;
-    the value and gradients are the same either way.
+    selected pairs. Both directions run on the calling thread: on two threads
+    they would save about 1.6 ms of a 450-640 ms paper step.
     """
     def side(p, q):  # mean distance from each point of p to its nearest point of q
         d = T.sub(p, T.gather(q, geometry.nearest(q.data, p.data), axis=0))
         return T.reduce_mean(T.sqrt_safe(T.reduce_sum(T.mul(d, d), axis=1)))
 
     half = T.tensor(0.5, dtype=a.dtype)
-    ab, ba = pair(lambda: side(a, b), lambda: side(b, a))
-    return T.mul(T.add(ab, ba), half)
+    return T.mul(T.add(side(a, b), side(b, a)), half)
 
 
-def completion_loss(p_gen1: Tensor, p_gen2: Tensor, p_gt, mode: str = "standard",
-                    pair=in_turn) -> Tensor:
+def completion_loss(p_gen1: Tensor, p_gen2: Tensor, p_gt, mode: str = "standard") -> Tensor:
     """Sum of both generated clouds' l1 Chamfer terms, or only the first in
-    denoising mode (noisy partials make the resampled branch counterproductive)."""
+    denoising mode (noisy partials make the resampled branch counterproductive).
+    It runs on the calling thread, whatever ``branch_runner`` picks."""
     gt = p_gt if isinstance(p_gt, Tensor) else T.tensor(np.asarray(p_gt, dtype=p_gen1.data.dtype))
     if mode == "standard":
-        return T.add(chamfer_l1_t(p_gen1, gt, pair), chamfer_l1_t(p_gen2, gt, pair))
+        return T.add(chamfer_l1_t(p_gen1, gt), chamfer_l1_t(p_gen2, gt))
     if mode == "denoising":
-        return chamfer_l1_t(p_gen1, gt, pair)
+        return chamfer_l1_t(p_gen1, gt)
     raise ValueError(f"unknown loss mode {mode!r}")
 
 
@@ -61,16 +60,22 @@ def assemble_outputs(p_gen1: Tensor, p_in: np.ndarray, n: int) -> Tensor:
 
 
 @functools.cache
-def _blas_threads() -> int | None:
-    """Threads of NumPy's bundled OpenBLAS, or None where it has no
-    ``scipy_openblas_get_num_threads64_``; read once per process."""
+def _openblas(name: str, restype=None, *argtypes):
+    """Function ``name`` of NumPy's bundled OpenBLAS with the given signature,
+    or None where it has none."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*")):
-        fn = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+        fn = getattr(ctypes.CDLL(str(lib)), name, None)
         if fn is not None:
-            fn.argtypes, fn.restype = [], ctypes.c_int
-            return fn()
+            fn.restype, fn.argtypes = restype, argtypes
+            return fn
     return None
+
+
+def _blas_threads() -> int | None:
+    """Threads NumPy's bundled OpenBLAS runs now, or None where that cannot be read."""
+    fn = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    return None if fn is None else fn()
 
 
 def branch_runner(cfg: ModelConfig):
@@ -98,6 +103,7 @@ class DuInNet(Module):
     with the input partial. The encoders, the interactor's paths and the
     generator's block groups form a point branch and an image branch per
     stage, run by ``branch_runner``; the result is the same either way.
+    ``loss`` runs on the calling thread.
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
@@ -126,4 +132,4 @@ class DuInNet(Module):
     __call__ = forward
 
     def loss(self, out: dict, p_gt, mode: str = "standard") -> Tensor:
-        return completion_loss(out["p_gen1"], out["p_gen2"], p_gt, mode, branch_runner(self.cfg))
+        return completion_loss(out["p_gen1"], out["p_gen2"], p_gt, mode)

@@ -192,7 +192,8 @@ class LBR(Module):
 
 class Adam:
     """Adam with betas (0.9, 0.999) and eps 1e-8; ``TrainState`` sets ``lr``
-    for its step-decay schedule.
+    for its step-decay schedule. ``step`` applies no gradient that holds a
+    NaN or an infinity: it returns that parameter's index instead of None.
 
     It owns its parameters' storage, as the flat parameter of PyTorch FSDP
     does (Zhao et al. 2023, arXiv:2304.11277): each ``p.data``, gradient
@@ -253,27 +254,22 @@ class Adam:
         h = (len(chunks) + 1) // 2
         return chunks[:h], chunks[h:]
 
-    def nonfinite_grad(self, pair=in_turn) -> int | None:
-        """Index of the first parameter whose gradient holds a NaN or an
-        infinity, or None. The branch runner ``pair`` checks the two halves of
-        the arena's slices; if either finds one, an ordered scan names it."""
+    def step(self, pair=in_turn) -> int | None:
+        """One update, returning None; the branch runner ``pair`` checks, then
+        updates, the two halves of the arena's slices (elementwise, so the bits
+        do not depend on the split). Where a gradient holds a NaN or an
+        infinity it changes no parameter, moment or ``t``, and returns the
+        index of the first such parameter, found by an ordered scan."""
+        b1, b2 = 0.9, 0.999
         runs = self._runs()
-        first, second = self._halves(runs)
+        halves = self._halves(runs)
 
         def finite(chunks: list[slice]) -> bool:
             return all(np.isfinite(self._grad[s]).all() for s in chunks)
 
-        if all(pair(lambda: finite(first), lambda: finite(second))):
-            return None
-        return next(k for i, j in runs for k in range(i, j)
-                    if not np.isfinite(self.params[k].grad).all())
-
-    def step(self, pair=in_turn) -> None:
-        """One update; the branch runner ``pair`` updates the two halves of the
-        arena's slices. The update is elementwise, so the bits do not depend on
-        the split."""
-        b1, b2 = 0.9, 0.999
-        halves = self._halves(self._runs())
+        if not all(pair(lambda: finite(halves[0]), lambda: finite(halves[1]))):
+            return next(k for i, j in runs for k in range(i, j)
+                        if not np.isfinite(self.params[k].grad).all())
         self.t += 1
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
@@ -288,6 +284,7 @@ class Adam:
                 self._data[s] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
 
         pair(lambda: update(halves[0]), lambda: update(halves[1]))
+        return None
 
     def zero_grad(self) -> None:
         for p in self.params:

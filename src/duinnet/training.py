@@ -32,9 +32,8 @@ class TrainState:
     def train_step(self, partial, image, gt, mode: str = "standard") -> float:
         self.model.train()
         self.opt.zero_grad()
-        pair = network.branch_runner(self.model.cfg)
-        # the forward moves the BatchNorm running buffers; a failed step puts
-        # them back, and both checks come before the update, so it changes no state
+        # the forward moves the BatchNorm running buffers; a failed step puts them
+        # back, and ``opt.step`` updates nothing on a bad gradient: no state changes
         buffers = [(buf, buf.copy()) for _, buf in self.model.named_buffers()]
         try:
             out = self.model(partial, image)
@@ -43,7 +42,8 @@ class TrainState:
             value = float(loss.data)
             if not np.isfinite(value):
                 raise FloatingPointError(f"non-finite loss at step {self.step}")
-            bad = self.opt.nonfinite_grad(pair)
+            self.opt.lr = self._current_lr()
+            bad = self.opt.step(network.branch_runner(self.model.cfg))
             if bad is not None:
                 raise FloatingPointError(
                     f"non-finite gradient of '{list(self.named)[bad]}' at step {self.step}")
@@ -51,8 +51,6 @@ class TrainState:
             for buf, saved in buffers:
                 np.copyto(buf, saved)
             raise
-        self.opt.lr = self._current_lr()
-        self.opt.step(pair)
         self.step += 1
         return value
 

@@ -10,6 +10,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 from helpers import box_mesh, save_off, uv_sphere  # noqa: E402
 
 from duinnet.datasetgen import GenConfig, generate_dataset  # noqa: E402
+from duinnet.model.network import _blas_threads  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def _blas_threads_restored():
+    """Fail a test that leaves NumPy's OpenBLAS on another thread count than
+    it found (``cli.main`` pins one thread for model commands, then restores)."""
+    before = _blas_threads()
+    yield
+    assert _blas_threads() == before, "the test left the BLAS thread count changed"
 
 
 @pytest.fixture(scope="session")

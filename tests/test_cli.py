@@ -6,8 +6,11 @@ from __future__ import annotations
 import filecmp
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -557,6 +560,38 @@ def test_missing_config_file_is_config_error(cli_workspace, tmp_path):
     _, _, data = cli_workspace
     assert main(["train", "--data", str(data), "--out", str(tmp_path / "r"),
                  "--config", str(tmp_path / "absent.json")]) == EXIT_CONFIG
+
+
+_BLAS_PROBE = """
+import json
+from duinnet import cli
+from duinnet.model import make_config, network
+
+seen = {}
+for name in ("eval", "gen"):
+    def probe(o, name=name):
+        runner = network.branch_runner(make_config("paper")).__name__
+        seen[name] = [network._blas_threads(), runner]
+        return 0
+    help_text, _, options = cli._COMMANDS[name]
+    cli._COMMANDS[name] = (help_text, probe, options)
+assert cli.main(["eval", "--data", "."]) == 0
+after = network._blas_threads()
+assert cli.main(["gen", "--mesh-dir", "."]) == 0
+print(json.dumps([seen["eval"], after, seen["gen"]]))
+"""
+
+
+def test_model_commands_run_one_blas_thread_and_give_the_count_back():
+    """Under a two-thread OpenBLAS, ``eval`` runs its handler on one BLAS
+    thread, so ``paper`` gets the two-core runner where two cores are usable,
+    and ``main`` sets two threads again on return; ``gen`` keeps two."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", _BLAS_PROBE], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    two_cores = len(os.sched_getaffinity(0)) >= 2
+    assert json.loads(out) == [[1, "side_by_side" if two_cores else "in_turn"], 2,
+                               [2, "in_turn"]]
 
 
 # -- exit codes --------------------------------------------------------------------

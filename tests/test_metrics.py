@@ -58,8 +58,9 @@ def test_fscore_disjoint_clouds():
 
 def test_fscore_requires_positive_threshold():
     pts = np.zeros((2, 3))
-    with pytest.raises(ValueError):
-        metrics.fscore(pts, pts, 0.0)
+    for d in (0.0, np.nan):
+        with pytest.raises(ValueError, match="threshold d must be positive"):
+            metrics.fscore(pts, pts, d)
 
 
 def test_empty_cloud_rejected():

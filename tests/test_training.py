@@ -396,18 +396,42 @@ def test_adam_step_side_by_side_matches_per_array_oracle(sizes, chunks):
 @pytest.mark.parametrize("bad, first", [((4,), 4), ((3, 4), 3), ((1, 4), 1), ((2,), 2)],
                          ids=["worker_half", "worker_half_twice", "both_halves", "straddling"])
 def test_nonfinite_grad_side_by_side_names_the_first_bad_parameter(bad, first):
-    """Four arena slices: the calling thread checks [0, 2 CHUNK), the worker
-    the rest, which holds parameters 3 and 4 and the end of parameter 2."""
+    """Four arena slices: side by side, the calling thread checks [0, 2 CHUNK),
+    the worker the rest, which holds parameters 3 and 4 and the end of
+    parameter 2. In turn or side by side, ``Adam.step`` returns the first bad
+    index and changes no parameter, moment or ``t``; once every gradient is
+    finite it updates them all and returns None."""
     sizes = [(Adam.CHUNK,), (5,), (Adam.CHUNK,), (Adam.CHUNK,), (3,)]
-    params = [T.tensor(np.zeros(s, np.float32), requires_grad=True) for s in sizes]
-    opt = Adam(params)
-    for p in params:
-        p._accumulate(np.ones(p.shape, np.float32))
-    assert run_within(10, lambda: opt.nonfinite_grad(side_by_side)) is None
-    for i in bad:
-        params[i].grad[-1] = np.nan if i % 2 else np.inf
-    assert run_within(10, lambda: opt.nonfinite_grad(side_by_side)) == first
-    assert opt.nonfinite_grad() == first
+    for runner in (in_turn, side_by_side):
+        params = [T.tensor(np.zeros(s, np.float32), requires_grad=True) for s in sizes]
+        opt = Adam(params)
+        for p in params:
+            p._accumulate(np.ones(p.shape, np.float32))
+        for i in bad:
+            params[i].grad[-1] = np.nan if i % 2 else np.inf
+        arena = (opt._data, opt._m, opt._v)
+        before = [a.copy() for a in arena]
+        assert run_within(10, lambda: opt.step(runner)) == first
+        assert opt.t == 0 and all(np.array_equal(a, b) for a, b in zip(arena, before))
+        for i in bad:
+            params[i].grad[-1] = 1
+        assert run_within(10, lambda: opt.step(runner)) is None
+        assert opt.t == 1 and (opt._data < 0).all() and opt._m.all() and opt._v.all()
+
+
+def test_bare_adam_step_applies_no_nonfinite_gradient(shapes):
+    """The benchmark's traced step calls ``opt.step()`` with no ``train_step``
+    around it. On a NaN gradient of a trained model it still returns that
+    parameter's index and changes no parameter, moment, buffer or count."""
+    state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(state, shapes[:2], 2)
+    state.opt.zero_grad()
+    state.model.loss(state.model(*shapes[0][:2]), shapes[0][2]).backward()
+    name = "apg.pc_blocks.0.linear2.weight"
+    state.named[name].grad[0, 0] = np.nan
+    before = _snapshot(state)
+    assert state.opt.step() == list(state.named).index(name)
+    _assert_unchanged(state, before)
 
 
 def test_adam_arena_matches_per_array_oracle_on_ablation_split(shapes):
@@ -497,12 +521,12 @@ def test_profiler_names_every_recorded_op(shapes, monkeypatch, mode):
 # -- the point and image branches of each stage, in turn or side by side --------
 
 
-def _mini_run_digests(shapes, monkeypatch, runner) -> list[str]:
+def _mini_run_digests(shapes, monkeypatch, runner, mode) -> list[str]:
     """SHA-256 of the parameters, Adam moments, BatchNorm buffers and eval
-    ``p_gen2`` after 6 mini train steps with ``runner`` forced."""
+    ``p_gen2`` after 6 mini train steps in ``mode`` with ``runner`` forced."""
     monkeypatch.setattr(network, "branch_runner", lambda cfg: runner)
     state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
-    train_loop(state, shapes, 6)
+    train_loop(state, shapes, 6, mode=mode)
     state.model.eval()
     with T.no_grad():
         p_gen2 = state.model(*shapes[6][:2])["p_gen2"].data
@@ -511,9 +535,10 @@ def _mini_run_digests(shapes, monkeypatch, runner) -> list[str]:
     return [hashlib.sha256(b"".join(a.tobytes() for a in g)).hexdigest() for g in groups]
 
 
-def test_side_by_side_branches_keep_every_bit(shapes, monkeypatch):
-    assert (_mini_run_digests(shapes, monkeypatch, side_by_side)
-            == _mini_run_digests(shapes, monkeypatch, in_turn))
+@pytest.mark.parametrize("mode", ["standard", "denoising"])
+def test_side_by_side_branches_keep_every_bit(shapes, monkeypatch, mode):
+    assert (_mini_run_digests(shapes, monkeypatch, side_by_side, mode)
+            == _mini_run_digests(shapes, monkeypatch, in_turn, mode))
 
 
 def test_mini_runs_in_turn_and_starts_no_thread(shapes, monkeypatch):
@@ -647,8 +672,8 @@ def test_train_step_leaves_the_thread_count_unchanged(shapes, monkeypatch, runne
 def test_paper_runner_train_step_on_mini_leaves_the_thread_count_unchanged(shapes,
                                                                            monkeypatch):
     """The runner ``paper`` gets with one BLAS thread (side by side on two
-    cores) also runs the loss's directions, the check and Adam: a mini train
-    step with it leaves the thread count as it found it."""
+    cores) also runs Adam's gradient check and update: a mini train step with
+    it leaves the thread count as it found it."""
     monkeypatch.setattr(network, "_blas_threads", lambda: 1)
     runner = network.branch_runner(make_config("paper"))
     monkeypatch.setattr(network, "branch_runner", lambda cfg: runner)
