@@ -136,6 +136,15 @@ def _load_manifest(data: Path, image_side: int) -> Manifest:
     return manifest
 
 
+def _load_checkpoint(path, copy_in, prefix: str) -> None:
+    """Pass the checkpoint's arrays to ``copy_in``; arrays that do not fit are a config error."""
+    arrays = T.load_checkpoint(path)  # unreadable: ValueError, exit 3
+    try:
+        copy_in(arrays)
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{prefix}: {exc}") from exc
+
+
 def _score(model: DuInNet, samples, records) -> list[metrics.MetricReport]:
     """Score each sample's eval-mode ``p_gen2`` as it is made, recording no graph;
     a non-finite prediction raises ``FloatingPointError`` naming its record."""
@@ -161,11 +170,7 @@ def cmd_train(o) -> int:
     o.out.mkdir(parents=True, exist_ok=True)
     ckpt = o.out / "checkpoint.ckpt"
     if o.resume:
-        arrays = T.load_checkpoint(o.resume)  # unreadable: ValueError, exit 3
-        try:
-            state.restore(arrays)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"cannot resume: {exc}") from exc
+        _load_checkpoint(o.resume, state.restore, "cannot resume")
     mode = "denoising" if o.task == "denoising" else "standard"
     train_loop(state, samples, o.steps, mode=mode,
                curve_path=o.out / "loss_curve.tsv", checkpoint_path=ckpt, verbose=o.verbose)
@@ -182,11 +187,7 @@ def cmd_eval(o) -> int:
     samples, records = _load_samples(o.data, manifest, o.task, "test", o.seed, o.limit)
     model = DuInNet(cfg, seed=o.seed)
     if o.checkpoint:
-        arrays = T.load_checkpoint(o.checkpoint)
-        try:
-            model.load_state_dict(arrays)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"checkpoint mismatch: {exc}") from exc
+        _load_checkpoint(o.checkpoint, model.load_state_dict, "checkpoint mismatch")
     reports = _score(model, samples, records)
     report = metrics.summarize(reports, [rec.category for rec in records])
     extra = None

@@ -433,14 +433,12 @@ def make_splits(manifest: Manifest) -> Manifest:
 
 
 def split_records(manifest: Manifest, task: str, part: str) -> list[SampleRecord]:
-    """Resolve a split's record-id list back to records."""
-    if task not in manifest.splits:
-        raise ConfigError(f"manifest has no '{task}' split; run make_splits first")
+    """Resolve a split's record-id list back to records; a missing split is a ``ValueError``."""
+    _require(task in manifest.splits, f"no '{task}' split")
     split = manifest.splits[task]
     parts = ("test_seen", "test_unseen") if part == "test" and task == "zeroshot" else (part,)
     for p in parts:
-        if p not in split:
-            raise ConfigError(f"split '{task}' has no part '{p}'")
+        _require(p in split, f"split '{task}' has no part '{p}'")
     ids = set().union(*(split[p] for p in parts))
     return [r for r in manifest.records if r.record_id in ids]
 

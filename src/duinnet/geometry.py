@@ -63,9 +63,9 @@ class TriMesh:
         a, b, c = v[self.faces[:, 0]], v[self.faces[:, 1]], v[self.faces[:, 2]]
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
-    def drop_degenerate_faces(self, eps: float = 1e-14) -> "TriMesh":
-        areas = self.face_areas()
-        return TriMesh(self.vertices, self.faces[areas > eps])
+    def drop_degenerate_faces(self) -> "TriMesh":
+        """The mesh without faces of area 1e-14 or less."""
+        return TriMesh(self.vertices, self.faces[self.face_areas() > 1e-14])
 
     def normalized(self) -> "TriMesh":
         """Center at the vertex centroid and scale the longest bbox axis to 1."""
@@ -476,27 +476,35 @@ def load_off(path) -> TriMesh:
 
 
 def load_ply(path) -> TriMesh:
-    """Parse ASCII PLY with vertex x/y/z (and optional triangular faces)."""
+    """Parse ASCII PLY: a vertex element whose first properties are x, y, z, then
+    an optional face element of index lists; any other element is an error."""
     with open(path) as f:
         lines = [ln.strip() for ln in f]
     if not lines or lines[0] != "ply":
         raise GeometryError(f"{path}: not a PLY file")
-    counts = {"vertex": 0, "face": 0}
+    counts: dict[str, int] = {}  # element name -> count, in header order
+    vertex_props: list[str] = []
     i = 1
     while i < len(lines) and lines[i] != "end_header":
         parts = lines[i].split()
         if not parts:
             raise GeometryError(f"{path}: blank header line {i + 1}")
-        if parts[0] == "element" and parts[1:2] in (["vertex"], ["face"]):
+        if parts[0] == "element":
+            if [*counts, *parts[1:2]] not in (["vertex"], ["vertex", "face"]):
+                raise GeometryError(f"{path}: header line {i + 1}: expected vertex, then face")
             if len(parts) < 3:
                 raise GeometryError(f"{path}: header line {i + 1} has no element count")
             counts[parts[1]] = int(parts[2])
             if counts[parts[1]] < 0:
                 raise GeometryError(f"{path}: header line {i + 1} has a negative count")
+        elif parts[0] == "property" and list(counts) == ["vertex"]:
+            vertex_props.append(parts[-1])
         elif parts[0] == "format" and parts[1:2] != ["ascii"]:
             raise GeometryError(f"{path}: only ascii PLY supported")
         i += 1
-    nv, nf = counts["vertex"], counts["face"]
+    if vertex_props[:3] not in ([], ["x", "y", "z"]):
+        raise GeometryError(f"{path}: vertex properties {vertex_props} do not begin x, y, z")
+    nv, nf = counts.get("vertex", 0), counts.get("face", 0)
     body = [ln.split() for ln in lines[i + 1 :] if ln]
     if len(body) < nv + nf:
         raise GeometryError(f"{path}: declares {nv} vertices and {nf} faces "

@@ -1,6 +1,6 @@
 """Central finite-difference gradient verification, shared by tests and the CLI.
 
-All checks run at 64-bit precision with the default step 1e-5. Relative error
+All checks run at 64-bit precision with the step ``STEP`` (1e-5). Relative error
 is |analytic - numeric| / max(|numeric|, 1), elementwise, reported as a max.
 ``PRIMITIVE_CHECKS`` registers one scalar-valued graph per differentiable
 op; :func:`gradient_suite` runs them plus the cross-attention, generator-block
@@ -18,6 +18,8 @@ from .model.generator import GeneratorBlock
 from .model.network import completion_loss
 from .nn import Module
 from .tensor import Tensor
+
+STEP = 1e-5  # central-difference step
 
 
 def _batch_norm(training: bool, relu: bool):
@@ -68,23 +70,23 @@ PRIMITIVE_CHECKS = [
 ]
 
 
-def finite_diff(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
+def finite_diff(f, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient of scalar f at x (same shape as x)."""
     g = np.zeros_like(x, dtype=np.float64)
     flat = x.reshape(-1)
     gf = g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + STEP
         fp = f()
-        flat[i] = orig - eps
+        flat[i] = orig - STEP
         fm = f()
         flat[i] = orig
-        gf[i] = (fp - fm) / (2 * eps)
+        gf[i] = (fp - fm) / (2 * STEP)
     return g
 
 
-def _max_err(forward, tensors, eps: float = 1e-5) -> float:
+def _max_err(forward, tensors) -> float:
     """Max relative error of d forward() / d tensor over every entry of ``tensors``.
 
     ``forward`` is a zero-argument callable building a fresh scalar graph from
@@ -94,13 +96,13 @@ def _max_err(forward, tensors, eps: float = 1e-5) -> float:
     worst = 0.0
     for t in tensors:
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        numeric = finite_diff(lambda: float(forward().data), t.data, eps)
+        numeric = finite_diff(lambda: float(forward().data), t.data)
         err = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1.0)
         worst = max(worst, float(err.max(initial=0.0)))
     return worst
 
 
-def check_fn(build, inputs: list[np.ndarray], eps: float = 1e-5) -> float:
+def check_fn(build, inputs: list[np.ndarray]) -> float:
     """Max relative error over all inputs of scalar-valued ``build(*tensors)``.
 
     ``build`` must construct a fresh graph from leaf tensors on each call.
@@ -108,15 +110,15 @@ def check_fn(build, inputs: list[np.ndarray], eps: float = 1e-5) -> float:
     """
     leaves = [Tensor(np.ascontiguousarray(x, dtype=np.float64), requires_grad=True)
               for x in inputs]
-    return _max_err(lambda: build(*leaves), leaves, eps)
+    return _max_err(lambda: build(*leaves), leaves)
 
 
-def check_module_params(module: Module, forward, eps: float = 1e-5) -> float:
+def check_module_params(module: Module, forward) -> float:
     """Max relative error of d forward() / d params over every parameter entry;
     the parameters are cast to float64 first."""
     module.to_dtype(np.float64)
     module.zero_grad()
-    return _max_err(forward, module.parameters(), eps)
+    return _max_err(forward, module.parameters())
 
 
 def gradient_suite(rng: np.random.Generator):

@@ -102,8 +102,8 @@ def summarize(reports: list[MetricReport], categories: list[str]) -> MetricRepor
     return out
 
 
-def evaluate_batch(preds, gts, d: float = 0.001, categories=None) -> MetricReport:
-    """Mean metrics over pairs, with per-category breakdown.
+def evaluate_batch(preds, gts, categories=None) -> MetricReport:
+    """Mean metrics over pairs at ``evaluate_pair``'s threshold, with per-category breakdown.
 
     ``categories`` defaults to each ground-truth cloud's own category label,
     ``"all"`` when it has none.
@@ -112,7 +112,7 @@ def evaluate_batch(preds, gts, d: float = 0.001, categories=None) -> MetricRepor
         raise ValueError(f"pred/gt length mismatch: {len(preds)} vs {len(gts)}")
     if categories is None:
         categories = [getattr(g, "category", "") or "all" for g in gts]
-    return summarize([evaluate_pair(p, g, d) for p, g in zip(preds, gts)], categories)
+    return summarize([evaluate_pair(p, g) for p, g in zip(preds, gts)], categories)
 
 
 def format_table(report: MetricReport, extra_rows: dict[str, dict[str, float]] | None = None) -> str:

@@ -149,11 +149,9 @@ class ImageEncoder(Module):
             stages.append(ResidualBlock(ch, ch, 1, rng))
             in_ch = ch
         self.stages = stages
-        self.C = cfg.C
 
-    def __call__(self, image: Tensor | np.ndarray) -> Tensor:
-        if not isinstance(image, Tensor):
-            image = T.tensor(np.asarray(image, dtype=T.default_dtype()))
+    def __call__(self, image: np.ndarray) -> Tensor:
+        image = T.tensor(np.asarray(image, dtype=T.default_dtype()))
         if image.shape[:2] != (self.side, self.side) or image.shape[2] != 3:
             raise ValueError(f"expected {self.side}x{self.side}x3 image, got {image.shape}")
         x = self.stem_bn(self.stem(image))

@@ -355,13 +355,13 @@ def relu(a: Tensor) -> Tensor:
     return _make(out_data, "relu", (a,), bw)
 
 
-def sqrt_safe(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """Exact sqrt forward; backward denominator floored at sqrt(eps) so zero
+def sqrt_safe(a: Tensor) -> Tensor:
+    """Exact sqrt forward; backward denominator floored at sqrt(1e-12) so zero
     inputs (coincident points in distance losses) yield a finite subgradient."""
     out_data = np.sqrt(a.data)
 
     def bw(g):
-        a._accumulate(g * 0.5 / np.maximum(out_data, np.sqrt(eps)))
+        a._accumulate(g * 0.5 / np.maximum(out_data, np.sqrt(1e-12)))
 
     return _make(out_data, "sqrt_safe", (a,), bw)
 
@@ -453,22 +453,20 @@ def gather(a: Tensor, indices, axis: int = 0) -> Tensor:
 # -- reductions ------------------------------------------------------------------
 
 
-def reduce_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     def bw(g):
-        ge = g if keepdims or axis is None else np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(ge, a.shape))
+        a._accumulate(np.broadcast_to(g if axis is None else np.expand_dims(g, axis), a.shape))
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), "reduce_sum", (a,), bw)
+    return _make(a.data.sum(axis=axis), "reduce_sum", (a,), bw)
 
 
-def reduce_mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    n = a.data.size if axis is None else a.shape[axis]
+def reduce_mean(a: Tensor) -> Tensor:
+    """The mean of every element, as a 0-d tensor."""
 
     def bw(g):
-        ge = g if keepdims or axis is None else np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(ge / n, a.shape))
+        a._accumulate(np.broadcast_to(g / a.data.size, a.shape))
 
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), "reduce_mean", (a,), bw)
+    return _make(a.data.mean(), "reduce_mean", (a,), bw)
 
 
 def _reduce_select(a: Tensor, axis: int, argfn, valfn, name: str):
@@ -544,7 +542,6 @@ def batch_norm_1d(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     training: bool,
-    momentum: float = 0.1,
     eps: float = 1e-5,
     relu: bool = False,
 ) -> Tensor:
@@ -566,6 +563,7 @@ def batch_norm_1d(
         mu = rows.mean(axis=0)
         var = rows.var(axis=0)
         n = rows.shape[0]
+        momentum = 0.1  # running-statistics rate, torch's BatchNorm1d default
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum

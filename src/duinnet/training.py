@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -89,12 +91,17 @@ def train_loop(state: TrainState, samples, steps: int, mode: str = "standard",
 
     Writes (step, loss) rows to the curve file as it goes, a fresh file at step
     0 and appended to on resume, and checkpoints every 100 steps and after the
-    last step, never twice at one step; a non-finite loss raises
-    FloatingPointError from ``TrainState.train_step``.
+    last step, never twice at one step and each after fsyncing the rows so far;
+    a non-finite loss raises FloatingPointError from ``TrainState.train_step``.
     """
     curve: list[tuple[int, float]] = []
-    f = open(curve_path, "a" if state.step else "w") if curve_path else None
-    try:
+    with open(curve_path, "a" if state.step else "w") if curve_path else nullcontext() as f:
+        def save():
+            if f:
+                f.flush()
+                os.fsync(f.fileno())
+            state.save(checkpoint_path)
+
         for _ in range(steps):
             step = state.step
             partial, image, gt = samples[step % len(samples)]
@@ -105,10 +112,7 @@ def train_loop(state: TrainState, samples, steps: int, mode: str = "standard",
             if verbose and step % 25 == 0:
                 print(f"step {step}  loss {loss:.6f}")
             if checkpoint_path and state.step % 100 == 0:
-                state.save(checkpoint_path)
-    finally:
-        if f:
-            f.close()
-    if checkpoint_path and (steps == 0 or state.step % 100):
-        state.save(checkpoint_path)
+                save()
+        if checkpoint_path and (steps == 0 or state.step % 100):
+            save()
     return curve

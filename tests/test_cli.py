@@ -23,7 +23,7 @@ from duinnet.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, REQUIRED
                          _load_samples, main, resolve_options)
 from duinnet.datasetgen import ConfigError, Manifest, split_records
 from duinnet.gradcheck import PRIMITIVE_CHECKS
-from duinnet.model import DuInNet, make_config
+from duinnet.model import DuInNet, make_config, network
 
 
 # SHA-256 of the manifest.json (records, config and splits) that ``gen`` writes
@@ -594,6 +594,30 @@ def test_model_commands_run_one_blas_thread_and_give_the_count_back():
                                [2, "in_turn"]]
 
 
+def test_paper_checkpoint_does_not_depend_on_the_blas_thread_setting(tmp_path):
+    """``train --profile paper`` writes the same checkpoint and loss curve
+    whether ``OPENBLAS_NUM_THREADS`` is unset, 1 or 2."""
+    if network._blas_threads() is None:
+        pytest.skip("the OpenBLAS thread count cannot be read here")
+    for cat, builder in (("chair", box_mesh), ("bowl", uv_sphere)):
+        (tmp_path / "meshes" / cat).mkdir(parents=True)
+        save_off(tmp_path / "meshes" / cat / f"{cat}_0001.off", builder())
+    assert main(["gen", "--mesh-dir", str(tmp_path / "meshes"), "--out", str(tmp_path / "data"),
+                 "--n-viewpoints", "2"]) == EXIT_OK
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    digests = set()
+    for threads in (None, "1", "2"):
+        out = tmp_path / f"run_{threads}"
+        subprocess.run([sys.executable, "-m", "duinnet.cli", "train", "--profile", "paper",
+                        "--data", str(tmp_path / "data"), "--out", str(out), "--steps", "2"],
+                       env=env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads},
+                       capture_output=True, timeout=300, check=True)
+        digests.add(tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                          for name in ("checkpoint.ckpt", "loss_curve.tsv")))
+    assert len(digests) == 1
+
+
 # -- exit codes --------------------------------------------------------------------
 
 
@@ -615,6 +639,12 @@ def _bowl_dataset(data: Path, tmp: Path) -> Path:
     assert main(["gen", "--mesh-dir", str(tmp / "meshes"), "--out", str(tmp / "bowl"),
                  "--n-points", "128", "--n-viewpoints", "4", "--image-side", "32"]) == EXIT_OK
     return tmp / "bowl"
+
+
+def _without_splits(data: Path, tmp: Path) -> Path:
+    doc = json.loads((data / "manifest.json").read_text())
+    del doc["splits"]
+    return _write(tmp / "manifest.json", json.dumps(doc)).parent
 
 
 def _copy_without(data: Path, tmp: Path, pattern: str) -> Path:
@@ -713,6 +743,8 @@ _EXIT_CASES = {
                              {}, EXIT_DATA, ".raster"),
     "eval-missing-ply": (lambda d, t: ["eval", "--data", _copy_without(d, t, "*.ply")],
                          {}, EXIT_DATA, ".ply"),
+    "train-manifest-without-splits": (lambda d, t: ["train", "--data", _without_splits(d, t)],
+                                      {}, EXIT_DATA, "malformed manifest: no 'supervised' split"),
     "train-zeroshot-only-unseen": (lambda d, t: ["train", "--data", _bowl_dataset(d, t),
                                                  "--task", "zeroshot", "--steps", "1"],
                                    {}, EXIT_DATA, "empty train split of task 'zeroshot'"),

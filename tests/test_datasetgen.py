@@ -18,7 +18,7 @@ from helpers import (MODELNET40, box_mesh, render_depth_oracle, save_off, square
                      synthetic_manifest, uv_sphere)
 
 from duinnet import datasetgen, geometry
-from duinnet.datasetgen import (UNSEEN_CATEGORIES, ConfigError, GenConfig, Manifest,
+from duinnet.datasetgen import (UNSEEN_CATEGORIES, GenConfig, Manifest,
                                 Viewpoint, load_raster, make_splits,
                                 make_viewpoints, pair_sampler, render_depth_image,
                                 save_raster, split_records, synthesize_model)
@@ -425,7 +425,8 @@ def test_manifest_from_json_fuzz_raises_only_value_error(text):
         for part in {*parts, "train", "test"}:
             try:
                 records = split_records(manifest, task, part)
-            except ConfigError:
+            except ValueError as exc:
+                assert str(exc).startswith("malformed manifest: ")
                 continue
             assert all(isinstance(r.record_id, str) for r in records)
 
@@ -479,7 +480,7 @@ def test_splits_default_unseen_restricted_to_present_categories():
 
 def test_split_records_unknown_task():
     manifest = make_splits(synthetic_manifest(["chair"]))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError, match="malformed manifest: no 'weakly_supervised' split"):
         split_records(manifest, "weakly_supervised", "train")
 
 

@@ -653,6 +653,20 @@ def test_ply_mesh_parse(tmp_path):
 
 
 _PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex 3\nelement face 1\nend_header\n"
+_PLY_FORMAT = "ply\nformat ascii 1.0\n"
+_PLY_VERTEX = "element vertex 3\n"
+_PLY_XYZ = "property float x\nproperty float y\nproperty float z\n"
+_PLY_FACE = "element face 1\nproperty list uchar int vertex_indices\n"
+_TRIANGLE = "0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"
+
+
+def test_ply_reads_vertex_properties_after_xyz(tmp_path):
+    path = tmp_path / "normals.ply"
+    path.write_text(_PLY_FORMAT + _PLY_VERTEX + _PLY_XYZ + "property float nx\n" + _PLY_FACE
+                    + "end_header\n0 0 0 5\n1 0 0 5\n0 1 0 5\n3 0 1 2\n")
+    mesh = load_ply(path)
+    np.testing.assert_array_equal(mesh.vertices, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    np.testing.assert_array_equal(mesh.faces, [[0, 1, 2]])
 
 
 @pytest.mark.parametrize("text", [
@@ -661,8 +675,18 @@ _PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex 3\nelement face 1\nend_header
     "ply\nformat ascii 1.0\nelement vertex\nend_header\n0 0 0\n",
     "ply\nformat\nelement vertex 1\nend_header\n0 0 0\n",
     _PLY_HEAD + "0 0 0\n1 0 0\n",
+    # valid PLY outside the subset load_ply reads, which it used to misread
+    _PLY_FORMAT + _PLY_VERTEX + "property float y\nproperty float x\nproperty float z\n"
+    + _PLY_FACE + "end_header\n" + _TRIANGLE,
+    _PLY_FORMAT + _PLY_VERTEX + "property uchar red\n" + _PLY_XYZ + _PLY_FACE
+    + "end_header\n9 0 0 0\n9 1 0 0\n9 0 1 0\n3 0 1 2\n",
+    _PLY_FORMAT + _PLY_VERTEX + _PLY_XYZ
+    + "element edge 1\nproperty int vertex1\nproperty int vertex2\n" + _PLY_FACE
+    + "end_header\n0 0 0\n1 0 0\n0 1 0\n0 1\n3 0 1 2\n",
+    _PLY_FORMAT + _PLY_FACE + _PLY_VERTEX + _PLY_XYZ
+    + "end_header\n3 0 1 2\n0 0 0\n1 0 0\n0 1 0\n",
 ], ids=["short-face", "blank-header-line", "vertex-without-count", "bare-format",
-        "missing-rows"])
+        "missing-rows", "properties-y-x-z", "colour-before-x", "edge-element", "face-first"])
 def test_ply_malformed_raises_geometry_error(tmp_path, text):
     path = tmp_path / "bad.ply"
     path.write_text(text)

@@ -100,6 +100,22 @@ def test_train_loop_writes_each_checkpoint_once(tmp_path):
         assert state.saved == saved, steps
 
 
+def test_train_loop_puts_the_curve_on_disk_before_each_checkpoint(tmp_path, monkeypatch, shapes):
+    """A crash after a checkpoint never loses curve rows that a resume would not rewrite."""
+    curve_path, seen = tmp_path / "curve.tsv", []
+    save = TrainState.save
+
+    def counting_save(self, path):
+        seen.append((self.step, len(curve_path.read_text().splitlines())))
+        save(self, path)
+
+    monkeypatch.setattr(TrainState, "save", counting_save)
+    state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
+    train_loop(state, shapes[:2], 101, curve_path=curve_path,
+               checkpoint_path=tmp_path / "c.ckpt")
+    assert seen == [(100, 100), (101, 101)]
+
+
 def test_train_loop_raises_on_nonfinite_loss(shapes):
     state = TrainState(DuInNet(mini_config(), seed=0), lr=1e-3)
     state.named["apg.pc_blocks.0.linear2.weight"].data[...] = np.nan
